@@ -2,104 +2,17 @@
  * @file
  * Event-queue hot-path microbenchmarks: schedule, schedule+cancel,
  * and steady-state schedule/step churn, in events per second.
- *
- * To quantify the payoff of the slot/generation rework, each pattern
- * is also run against BaselineQueue — a replica of the seed
- * implementation (std::priority_queue + std::function callbacks +
- * live_/cancelled_ unordered_sets) — so one binary reports the
- * before/after ratio directly.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event_queue.h"
 
 namespace {
-
-/** The seed's event queue, kept verbatim as the comparison baseline. */
-class BaselineQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    hiss::Tick now() const { return now_; }
-
-    std::uint64_t
-    schedule(hiss::Tick when, Callback fn)
-    {
-        const std::uint64_t id = next_id_++;
-        heap_.push(Entry{when, next_seq_++, id, std::move(fn)});
-        live_.insert(id);
-        return id;
-    }
-
-    bool
-    cancel(std::uint64_t id)
-    {
-        if (live_.count(id) == 0)
-            return false;
-        live_.erase(id);
-        cancelled_.insert(id);
-        return true;
-    }
-
-    bool
-    step()
-    {
-        while (!heap_.empty()) {
-            Entry top = heap_.top();
-            heap_.pop();
-            if (cancelled_.count(top.id) > 0) {
-                cancelled_.erase(top.id);
-                continue;
-            }
-            live_.erase(top.id);
-            now_ = top.when;
-            top.fn();
-            return true;
-        }
-        return false;
-    }
-
-    void
-    run()
-    {
-        while (step()) {
-        }
-    }
-
-  private:
-    struct Entry
-    {
-        hiss::Tick when;
-        std::uint64_t seq;
-        std::uint64_t id;
-        Callback fn;
-    };
-    struct Compare
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    hiss::Tick now_ = 0;
-    std::uint64_t next_seq_ = 0;
-    std::uint64_t next_id_ = 1;
-    std::priority_queue<Entry, std::vector<Entry>, Compare> heap_;
-    std::unordered_set<std::uint64_t> cancelled_;
-    std::unordered_set<std::uint64_t> live_;
-};
 
 /**
  * A callback capture of realistic size: the equivalent of `this`
@@ -112,13 +25,12 @@ struct Payload
     std::uint64_t b = 2;
 };
 
-template <typename Queue>
 void
-scheduleDrain(benchmark::State &state)
+BM_Schedule(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        Queue q;
+        hiss::EventQueue q;
         std::uint64_t sum = 0;
         Payload p{&sum};
         for (std::size_t i = 0; i < n; ++i)
@@ -131,14 +43,13 @@ scheduleDrain(benchmark::State &state)
                             * state.iterations());
 }
 
-template <typename Queue>
 void
-scheduleCancelDrain(benchmark::State &state)
+BM_ScheduleCancel(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     std::vector<std::uint64_t> ids(n);
     for (auto _ : state) {
-        Queue q;
+        hiss::EventQueue q;
         std::uint64_t sum = 0;
         Payload p{&sum};
         for (std::size_t i = 0; i < n; ++i)
@@ -158,12 +69,11 @@ scheduleCancelDrain(benchmark::State &state)
  * Steady-state churn: K events always pending, each execution
  * schedules a successor — the shape of the simulator's main loop.
  */
-template <typename Queue>
 void
-churn(benchmark::State &state)
+BM_Churn(benchmark::State &state)
 {
     const auto depth = static_cast<std::size_t>(state.range(0));
-    Queue q;
+    hiss::EventQueue q;
     std::uint64_t executed = 0;
     std::function<void()> reschedule; // Self-scheduling closure.
     reschedule = [&] {
@@ -179,43 +89,9 @@ churn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 
-void
-BM_Schedule(benchmark::State &state)
-{
-    scheduleDrain<hiss::EventQueue>(state);
-}
-void
-BM_Schedule_Seed(benchmark::State &state)
-{
-    scheduleDrain<BaselineQueue>(state);
-}
-void
-BM_ScheduleCancel(benchmark::State &state)
-{
-    scheduleCancelDrain<hiss::EventQueue>(state);
-}
-void
-BM_ScheduleCancel_Seed(benchmark::State &state)
-{
-    scheduleCancelDrain<BaselineQueue>(state);
-}
-void
-BM_Churn(benchmark::State &state)
-{
-    churn<hiss::EventQueue>(state);
-}
-void
-BM_Churn_Seed(benchmark::State &state)
-{
-    churn<BaselineQueue>(state);
-}
-
 BENCHMARK(BM_Schedule)->Arg(1024)->Arg(65536);
-BENCHMARK(BM_Schedule_Seed)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_ScheduleCancel)->Arg(1024)->Arg(65536);
-BENCHMARK(BM_ScheduleCancel_Seed)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_Churn)->Arg(64)->Arg(1024);
-BENCHMARK(BM_Churn_Seed)->Arg(64)->Arg(1024);
 
 } // namespace
 

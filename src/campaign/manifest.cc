@@ -268,7 +268,6 @@ specLine(const GridSpec &spec)
                    spec.all_mitigations ? 1 : 0);
     appendFieldF64s(out, "qos", spec.qos_thresholds);
     appendFieldF64(out, "duration_ms", spec.duration_ms);
-    appendFieldF64(out, "warmup_ms", spec.warmup_ms);
     appendFieldU64(out, "reps",
                    static_cast<std::uint64_t>(spec.reps));
     appendFieldF64(out, "tick_budget_ms", spec.tick_budget_ms);
@@ -298,7 +297,6 @@ parseSpec(const std::string &line)
     spec.all_mitigations = getU64(line, "all_mitigations") != 0;
     spec.qos_thresholds = getNumbers<double>(line, "qos");
     spec.duration_ms = getF64(line, "duration_ms");
-    spec.warmup_ms = getF64(line, "warmup_ms");
     spec.reps = static_cast<int>(getU64(line, "reps"));
     spec.tick_budget_ms = getF64(line, "tick_budget_ms");
     spec.fault.ppr_queue_capacity =
@@ -388,8 +386,6 @@ GridSpec::buildCells() const
                         cell.config.fault = fault;
                         cell.config.rate_window =
                             msToTicks(duration_ms);
-                        cell.config.warmup_ticks =
-                            msToTicks(warmup_ms);
                         if (tick_budget_ms > 0.0)
                             cell.config.max_sim_time =
                                 msToTicks(tick_budget_ms);

@@ -57,8 +57,6 @@ struct GridSpec
     std::vector<double> qos_thresholds = {0.0};
     /** Rate window for rate-based cells, ms. */
     double duration_ms = 8.0;
-    /** Warm-state cut, ms (0 = no warmup sharing). */
-    double warmup_ms = 0.0;
     /** Per-cell repetitions (averaged, seeds seed..seed+reps-1). */
     int reps = 1;
     /** Simulated-time cap per cell, ms (containment; 0 = default). */

@@ -64,7 +64,7 @@ InvariantMonitor::scheduleSweep()
     // same-tick model activity. The event is read-only and draws no
     // randomness, so it cannot perturb simulation results.
     scheduleAfter(period_, [this] {
-        runAllChecks();
+        sweepNow();
         ++sweeps_;
         scheduleSweep();
     }, EventPriority::Stats);
@@ -212,7 +212,7 @@ InvariantMonitor::onSsrInjectedLoss(const void *source, std::uint64_t id)
 }
 
 void
-InvariantMonitor::runAllChecks()
+InvariantMonitor::sweepNow()
 {
     checkEventQueue();
     checkScheduler();

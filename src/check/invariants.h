@@ -87,7 +87,7 @@ class InvariantMonitor final : public SimObject, public CheckHooks
      * sweep event and from HeteroSystem::finalizeStats()).
      * @throws InvariantError on the first violation.
      */
-    void runAllChecks();
+    void sweepNow();
 
     /** Completed sweeps so far. */
     std::uint64_t sweeps() const { return sweeps_; }

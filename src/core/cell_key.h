@@ -3,7 +3,7 @@
  * Canonical per-cell config hashing for the campaign engine.
  *
  * Every experiment cell — workload pair, full ExperimentConfig
- * (mitigations, QoS, fault plan, warmup cut), seed, measure mode, and
+ * (mitigations, QoS, fault plan), seed, measure mode, and
  * repetition count — reduces to one canonical text whose FNV-1a
  * digest keys the on-disk result cache (src/campaign). The
  * determinism contract (same seed + config => identical bytes) is
@@ -12,12 +12,9 @@
  * fresh run.
  *
  * The canonical text is versioned (kCellKeyFormat) and includes every
- * field that can change an observable, including warmup_ticks: a
- * warm-restored run is bit-identical to the cold run by the snapshot
- * round-trip contract, so warm and cold execution of the same cell
- * share one key, while cells that cut warmup at different points do
- * not. The snapshot_cache pointer is deliberately excluded — where a
- * warm state is shared never changes results.
+ * field that can change an observable. Its bytes are pinned by
+ * tests/test_campaign.cc (CellKey.FormatIsPinned): a stored campaign
+ * stays resumable only while equal cells keep hashing to equal keys.
  */
 
 #ifndef HISS_CORE_CELL_KEY_H_

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/cell_key.h"
-#include "core/snapshot_cache.h"
 #include "sim/logging.h"
 
 namespace hiss {
@@ -67,32 +66,6 @@ class StealQueue
     std::mutex mutex_;
     std::deque<std::size_t> deque_;
 };
-
-/**
- * Point warm-start cells with no cache of their own at @p cache so
- * they share warm states across the batch. Returns the cell vector
- * to execute: @p cells untouched when nothing needs the cache,
- * otherwise a patched copy in @p storage.
- */
-const std::vector<ExperimentCell> &
-withBatchCache(const std::vector<ExperimentCell> &cells,
-               SnapshotCache &cache,
-               std::vector<ExperimentCell> &storage)
-{
-    bool needed = false;
-    for (const ExperimentCell &cell : cells)
-        needed = needed
-                 || (cell.config.warmup_ticks > 0
-                     && cell.config.snapshot_cache == nullptr);
-    if (!needed)
-        return cells;
-    storage = cells;
-    for (ExperimentCell &cell : storage)
-        if (cell.config.warmup_ticks > 0
-            && cell.config.snapshot_cache == nullptr)
-            cell.config.snapshot_cache = &cache;
-    return storage;
-}
 
 /**
  * Run one cell, recording its result or failure at @p index. Every
@@ -180,10 +153,7 @@ ExperimentBatch::run(const std::vector<ExperimentCell> &cells) const
         return results;
     std::vector<std::exception_ptr> errors(cells.size());
     std::vector<double> wall_ms(cells.size());
-    SnapshotCache cache;
-    std::vector<ExperimentCell> storage;
-    execute(withBatchCache(cells, cache, storage), results, errors,
-            wall_ms);
+    execute(cells, results, errors, wall_ms);
     for (std::exception_ptr &err : errors)
         if (err)
             std::rethrow_exception(err);
@@ -199,10 +169,7 @@ ExperimentBatch::runCatching(const std::vector<ExperimentCell> &cells) const
     std::vector<RunResult> results(cells.size());
     std::vector<std::exception_ptr> errors(cells.size());
     std::vector<double> wall_ms(cells.size());
-    SnapshotCache cache;
-    std::vector<ExperimentCell> storage;
-    execute(withBatchCache(cells, cache, storage), results, errors,
-            wall_ms);
+    execute(cells, results, errors, wall_ms);
     for (std::size_t i = 0; i < cells.size(); ++i) {
         outcomes[i].wall_ms = wall_ms[i];
         if (errors[i]) {

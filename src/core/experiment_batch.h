@@ -99,13 +99,6 @@ class ExperimentBatch
     std::vector<CellOutcome>
     runCatching(const std::vector<ExperimentCell> &cells) const;
 
-    /** One-shot convenience: run @p cells on @p jobs workers. */
-    static std::vector<RunResult>
-    runAll(const std::vector<ExperimentCell> &cells, int jobs = 0)
-    {
-        return ExperimentBatch(jobs).run(cells);
-    }
-
     /**
      * Parallel ExperimentRunner::runAveraged: the @p reps repetitions
      * (seeds seed, seed+1, ...) run as independent cells across the

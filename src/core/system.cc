@@ -80,7 +80,7 @@ void
 HeteroSystem::finalizeStats()
 {
     if (monitor_ != nullptr)
-        monitor_->runAllChecks();
+        monitor_->sweepNow();
     kernel_->finalizeStats();
 }
 

@@ -37,16 +37,12 @@ dispatchFor(CacheKernel kernel)
       case CacheKernel::Portable:
         break;
 #if defined(HISS_SIMD_X86)
-      case CacheKernel::Sse41:
-        return {kernel, &cache_detail::runSse41Record,
-                &cache_detail::runSse41Plain};
       case CacheKernel::Avx2:
         return {kernel, &cache_detail::runAvx2Record,
                 &cache_detail::runAvx2Plain};
 #else
-      case CacheKernel::Sse41:
       case CacheKernel::Avx2:
-        break; // Unreachable: kernelSupported() rejects these.
+        break; // Unreachable: kernelSupported() rejects it.
 #endif
     }
     return {CacheKernel::Portable,
@@ -72,8 +68,6 @@ Cache::kernelSupported(CacheKernel kernel)
 #if defined(HISS_SIMD_X86)
     __builtin_cpu_init();
     switch (kernel) {
-      case CacheKernel::Sse41:
-        return __builtin_cpu_supports("sse4.1") != 0;
       case CacheKernel::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
       case CacheKernel::Portable:
@@ -88,8 +82,6 @@ Cache::bestKernel()
 {
     if (kernelSupported(CacheKernel::Avx2))
         return CacheKernel::Avx2;
-    if (kernelSupported(CacheKernel::Sse41))
-        return CacheKernel::Sse41;
     return CacheKernel::Portable;
 }
 
@@ -114,8 +106,6 @@ Cache::kernelName(CacheKernel kernel)
     switch (kernel) {
       case CacheKernel::Portable:
         return "portable";
-      case CacheKernel::Sse41:
-        return "sse4.1";
       case CacheKernel::Avx2:
         return "avx2";
     }
@@ -158,9 +148,9 @@ Cache::tagOf(Addr addr) const
  * The one lookup/replace entry, shared by the scalar and batch paths
  * so they cannot diverge. The loop itself lives in cache_run.h; the
  * probe inside it is whichever kernel the one-time CPUID dispatch
- * selected (portable on every host; SSE4.1/AVX2 in HISS_SIMD builds
- * on hosts that support them — all bit-identical by construction and
- * pinned by SubstrateBatch.*).
+ * selected (portable on every host; AVX2 in HISS_SIMD builds on hosts
+ * that support it — bit-identical by construction and pinned by
+ * SubstrateBatch.*).
  */
 template <bool Record>
 std::uint64_t

@@ -40,14 +40,13 @@ struct CacheParams
 };
 
 /**
- * Which tag-probe kernel services accessRun. The SIMD tiers exist
- * only in HISS_SIMD builds on x86-64 and engage only after runtime
- * CPUID confirms host support; every tier is access-by-access
- * bit-identical to Portable (pinned by SubstrateBatch.* in ctest).
+ * Which tag-probe kernel services accessRun. The AVX2 tier exists
+ * only in HISS_SIMD builds on x86-64 and engages only after runtime
+ * CPUID confirms host support; it is access-by-access bit-identical
+ * to Portable (pinned by SubstrateBatch.* in ctest).
  */
 enum class CacheKernel {
     Portable, ///< Branchless scalar compare (any host, any build).
-    Sse41,    ///< pcmpeqq, two ways per compare (4/8-way sets).
     Avx2,     ///< vpcmpeqq, four ways per compare (4/8-way sets).
 };
 

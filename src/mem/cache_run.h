@@ -3,8 +3,8 @@
  * The shared lookup/replace loop behind Cache::access{,Batch}.
  *
  * The loop is a template over a *probe policy* so the portable scalar
- * kernel and the SSE4.1/AVX2 kernels (src/mem/cache_simd_*.cc) are
- * one piece of code that cannot diverge: a probe only answers "which
+ * kernel and the AVX2 kernel (src/mem/cache_simd_avx2.cc) are one
+ * piece of code that cannot diverge: a probe only answers "which
  * way holds this tag code", and every probe must return the same way
  * index for the same set contents (at most one way can match, because
  * insertion happens only on miss). Everything behaviour-relevant —

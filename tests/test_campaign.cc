@@ -23,7 +23,6 @@
 
 #include "campaign/campaign.h"
 #include "core/cell_key.h"
-#include "core/snapshot_cache.h"
 #include "sim/logging.h"
 #include "snap/snap.h"
 
@@ -116,11 +115,6 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
     }
     {
         ExperimentCell cell = fastCell(81);
-        cell.config.warmup_ticks = msToTicks(1);
-        EXPECT_NE(cellKey(cell), base) << "warmup cut";
-    }
-    {
-        ExperimentCell cell = fastCell(81);
         cell.reps = 2;
         EXPECT_NE(cellKey(cell), base) << "reps";
     }
@@ -131,12 +125,14 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
     }
 }
 
-TEST(CellKey, SnapshotCachePointerIsExcluded)
+TEST(CellKey, FormatIsPinned)
 {
-    SnapshotCache cache;
-    ExperimentCell with = fastCell(81);
-    with.config.snapshot_cache = &cache;
-    EXPECT_EQ(cellKey(with), cellKey(fastCell(81)));
+    // Stored campaigns name their cache records by these keys, and the
+    // merged CSV's key column carries them: a change to the canonical
+    // text must be deliberate (bump kCellKeyFormat), never a side
+    // effect of editing ExperimentConfig.
+    EXPECT_EQ(cellKeyHex(ExperimentCell{}), "a8030a38469f42b0");
+    EXPECT_EQ(cellKeyHex(fastCell(81)), "ae3a07230d6e8e5e");
 }
 
 TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
@@ -395,35 +391,6 @@ TEST(CampaignTest, MergeRefusesIncompleteCampaigns)
     shard0.shard_count = 2;
     engine.run(shard0);
     EXPECT_THROW(engine.merge(dir + "/merged.csv"), FatalError);
-}
-
-TEST(SnapshotCacheFailureMemo, FirstFailureIsRecordedAndSurfaced)
-{
-    SnapshotCache cache;
-    EXPECT_THROW(
-        cache.getOrBuild("key", []() -> std::string {
-            throw FatalError("warmup exploded");
-        }),
-        FatalError);
-    EXPECT_EQ(cache.failureMessage("key"), "warmup exploded");
-
-    // Later lookups fail fast with the recorded reason instead of
-    // silently re-simulating the warmup cold.
-    try {
-        cache.getOrBuild("key",
-                         []() -> std::string { return "blob"; });
-        FAIL() << "expected SnapshotBuildError";
-    } catch (const SnapshotBuildError &e) {
-        EXPECT_NE(std::string(e.what()).find("warmup exploded"),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_EQ(cache.failedLookups(), 1u);
-
-    // Other keys are unaffected.
-    EXPECT_EQ(cache.getOrBuild(
-                  "other", []() -> std::string { return "blob"; }),
-              "blob");
 }
 
 } // namespace

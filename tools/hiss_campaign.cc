@@ -60,7 +60,6 @@ usage()
         "  --all-mitigations    all 8 mitigation combinations\n"
         "  --qos t[,t...]       QoS thresholds (0 = governor off)\n"
         "  --duration ms        rate window (default 8)\n"
-        "  --warmup ms          shared warm-state cut (default 0)\n"
         "  --reps N             repetitions per cell (default 1)\n"
         "  --tick-budget ms     simulated-time cap per cell\n"
         "\n"
@@ -177,9 +176,6 @@ cmdBuild(int argc, char **argv, const std::string &dir)
         } else if (arg == "--duration") {
             spec.duration_ms = parseReal(
                 "--duration", needValue(argc, argv, i), 1e-6, 1e6);
-        } else if (arg == "--warmup") {
-            spec.warmup_ms = parseReal(
-                "--warmup", needValue(argc, argv, i), 0.0, 1e6);
         } else if (arg == "--reps") {
             spec.reps = static_cast<int>(parseInt(
                 "--reps", needValue(argc, argv, i), 1, 1024));
