@@ -22,6 +22,7 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Fig. 12: CPU QoS via SSR backpressure (default/th_25/th_5/"
         "th_1)",
@@ -35,12 +36,35 @@ main(int argc, char **argv)
         {"th_1", 0.01},
     };
 
-    bench::progress("idle-CPU unthrottled ubench rate");
-    const double idle_rate =
-        ExperimentRunner::runAveraged("", "ubench",
-                                      bench::defaultConfig(),
-                                      MeasureMode::GpuOnly, reps)
-            .gpu_ssr_rate;
+    const auto &cpu_apps = parsec::benchmarkNames();
+    ExperimentConfig base = bench::defaultConfig();
+    base.gpu_demand_paging = false;
+
+    // The idle-CPU unthrottled ubench rate, then per CPU app its
+    // no-SSR baseline and a CPU- and a GPU-measured cell per setting.
+    bench::CellBatch batch(jobs);
+    const std::size_t idle = batch.add("", "ubench",
+                                       bench::defaultConfig(),
+                                       MeasureMode::GpuOnly, reps);
+    std::vector<std::size_t> baseline;                // [cpu]
+    std::vector<std::vector<std::size_t>> cpu_cells;  // [cpu][setting]
+    std::vector<std::vector<std::size_t>> gpu_cells;  // [cpu][setting]
+    for (const auto &cpu : cpu_apps) {
+        baseline.push_back(batch.add(cpu, "ubench", base,
+                                     MeasureMode::CpuPrimary, reps));
+        cpu_cells.emplace_back();
+        gpu_cells.emplace_back();
+        for (const auto &[label, threshold] : settings) {
+            ExperimentConfig config = bench::defaultConfig();
+            config.qos_threshold = threshold;
+            cpu_cells.back().push_back(batch.add(
+                cpu, "ubench", config, MeasureMode::CpuPrimary, reps));
+            gpu_cells.back().push_back(batch.add(
+                cpu, "ubench", config, MeasureMode::GpuPrimary, reps));
+        }
+    }
+    batch.run();
+    const double idle_rate = batch[idle].gpu_ssr_rate;
 
     std::vector<std::string> headers = {"cpu_app"};
     for (const auto &[label, threshold] : settings)
@@ -51,36 +75,23 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> cpu_cols(settings.size());
     std::vector<std::vector<double>> gpu_cols(settings.size());
 
-    for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
-        const double baseline_ms =
-            ExperimentRunner::runAveraged(cpu, "ubench", base,
-                                          MeasureMode::CpuPrimary,
-                                          reps)
-                .cpu_runtime_ms;
-
+    for (std::size_t c = 0; c < cpu_apps.size(); ++c) {
+        const double baseline_ms = batch[baseline[c]].cpu_runtime_ms;
         std::vector<double> cpu_row;
         std::vector<double> gpu_row;
         for (std::size_t s = 0; s < settings.size(); ++s) {
-            ExperimentConfig config = bench::defaultConfig();
-            config.qos_threshold = settings[s].second;
-            const RunResult c = ExperimentRunner::runAveraged(
-                cpu, "ubench", config, MeasureMode::CpuPrimary, reps);
-            const double cpu_perf =
-                normalizedPerf(baseline_ms, c.cpu_runtime_ms);
+            const double cpu_perf = normalizedPerf(
+                baseline_ms, batch[cpu_cells[c][s]].cpu_runtime_ms);
             cpu_row.push_back(cpu_perf);
             cpu_cols[s].push_back(cpu_perf);
 
-            const RunResult g = ExperimentRunner::runAveraged(
-                cpu, "ubench", config, MeasureMode::GpuPrimary, reps);
-            const double gpu_perf = g.gpu_ssr_rate / idle_rate;
+            const double gpu_perf =
+                batch[gpu_cells[c][s]].gpu_ssr_rate / idle_rate;
             gpu_row.push_back(gpu_perf);
             gpu_cols[s].push_back(gpu_perf);
         }
-        cpu_table.addRow(cpu, cpu_row);
-        gpu_table.addRow(cpu, gpu_row);
+        cpu_table.addRow(cpu_apps[c], cpu_row);
+        gpu_table.addRow(cpu_apps[c], gpu_row);
     }
 
     std::vector<double> cpu_gmeans;

@@ -20,40 +20,50 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Fig. 3a: CPU application performance under GPU SSRs",
         "Normalized perf (1/runtime) vs the same pair without SSRs; "
         "worst 0.56 (x264+ubench), sssp col min 0.69, means 0.88/0.72");
 
+    const auto &cpu_apps = parsec::benchmarkNames();
+    const auto &gpu_apps = gpu_suite::workloadNames();
     std::vector<std::string> headers = {"cpu_app"};
-    for (const auto &gpu : gpu_suite::workloadNames())
+    for (const auto &gpu : gpu_apps)
         headers.push_back(gpu);
     TablePrinter table(headers);
 
-    std::vector<std::vector<double>> columns(
-        gpu_suite::workloadNames().size());
+    // Baseline: the GPU runs with pinned memory -> no SSRs. The GPU
+    // app identity is irrelevant without SSRs; use ubench.
+    ExperimentConfig base_config = bench::defaultConfig();
+    base_config.gpu_demand_paging = false;
 
-    for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        // Baseline: the GPU runs with pinned memory -> no SSRs. The
-        // GPU app identity is irrelevant without SSRs; use ubench.
-        ExperimentConfig base_config = bench::defaultConfig();
-        base_config.gpu_demand_paging = false;
-        const RunResult baseline = ExperimentRunner::runAveraged(
-            cpu, "ubench", base_config, MeasureMode::CpuPrimary, reps);
+    bench::CellBatch batch(jobs);
+    std::vector<std::size_t> baseline;         // [cpu]
+    std::vector<std::vector<std::size_t>> ssr; // [cpu][gpu]
+    for (const auto &cpu : cpu_apps) {
+        baseline.push_back(batch.add(cpu, "ubench", base_config,
+                                     MeasureMode::CpuPrimary, reps));
+        ssr.emplace_back();
+        for (const auto &gpu : gpu_apps)
+            ssr.back().push_back(batch.add(cpu, gpu,
+                                           bench::defaultConfig(),
+                                           MeasureMode::CpuPrimary,
+                                           reps));
+    }
+    batch.run();
 
+    std::vector<std::vector<double>> columns(gpu_apps.size());
+    for (std::size_t c = 0; c < cpu_apps.size(); ++c) {
         std::vector<double> row;
-        std::size_t column = 0;
-        for (const auto &gpu : gpu_suite::workloadNames()) {
-            const RunResult r = ExperimentRunner::runAveraged(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::CpuPrimary, reps);
-            const double perf = normalizedPerf(baseline.cpu_runtime_ms,
-                                               r.cpu_runtime_ms);
+        for (std::size_t g = 0; g < gpu_apps.size(); ++g) {
+            const double perf =
+                normalizedPerf(batch[baseline[c]].cpu_runtime_ms,
+                               batch[ssr[c][g]].cpu_runtime_ms);
             row.push_back(perf);
-            columns[column++].push_back(perf);
+            columns[g].push_back(perf);
         }
-        table.addRow(cpu, row);
+        table.addRow(cpu_apps[c], row);
     }
 
     std::vector<double> gmeans;

@@ -21,44 +21,54 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Fig. 3b: GPU application performance vs idle-CPU baseline",
         "Worst 0.82 (sssp+streamcluster); mean -4 %; some cells > 1");
 
+    const auto &cpu_apps = parsec::benchmarkNames();
+    const auto &gpu_apps = gpu_suite::workloadNames();
     std::vector<std::string> headers = {"cpu_app"};
-    for (const auto &gpu : gpu_suite::workloadNames())
+    for (const auto &gpu : gpu_apps)
         headers.push_back(gpu);
     TablePrinter table(headers);
 
-    // Idle-CPU baselines per GPU app.
+    // Idle-CPU baselines per GPU app, then every CPU x GPU pair.
+    bench::CellBatch batch(jobs);
+    std::vector<std::size_t> idle; // [gpu]
+    for (const auto &gpu : gpu_apps)
+        idle.push_back(batch.add("", gpu, bench::defaultConfig(),
+                                 MeasureMode::GpuOnly, reps));
+    std::vector<std::vector<std::size_t>> busy; // [cpu][gpu]
+    for (const auto &cpu : cpu_apps) {
+        busy.emplace_back();
+        for (const auto &gpu : gpu_apps)
+            busy.back().push_back(batch.add(cpu, gpu,
+                                            bench::defaultConfig(),
+                                            MeasureMode::GpuPrimary,
+                                            reps));
+    }
+    batch.run();
+
     std::vector<double> idle_metric;
-    for (const auto &gpu : gpu_suite::workloadNames()) {
-        bench::progress("idle baseline: " + gpu);
-        const RunResult r = ExperimentRunner::runAveraged(
-            "", gpu, bench::defaultConfig(), MeasureMode::GpuOnly,
-            reps);
-        idle_metric.push_back(gpu == "ubench" ? r.gpu_ssr_rate
-                                              : r.gpu_runtime_ms);
+    for (std::size_t g = 0; g < gpu_apps.size(); ++g) {
+        const RunResult &r = batch[idle[g]];
+        idle_metric.push_back(gpu_apps[g] == "ubench" ? r.gpu_ssr_rate
+                                                      : r.gpu_runtime_ms);
     }
 
-    std::vector<std::vector<double>> columns(
-        gpu_suite::workloadNames().size());
-    for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
+    std::vector<std::vector<double>> columns(gpu_apps.size());
+    for (std::size_t c = 0; c < cpu_apps.size(); ++c) {
         std::vector<double> row;
-        std::size_t column = 0;
-        for (const auto &gpu : gpu_suite::workloadNames()) {
-            const RunResult r = ExperimentRunner::runAveraged(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::GpuPrimary, reps);
-            const double perf = gpu == "ubench"
-                ? r.gpu_ssr_rate / idle_metric[column]
-                : normalizedPerf(idle_metric[column],
-                                 r.gpu_runtime_ms);
+        for (std::size_t g = 0; g < gpu_apps.size(); ++g) {
+            const RunResult &r = batch[busy[c][g]];
+            const double perf = gpu_apps[g] == "ubench"
+                ? r.gpu_ssr_rate / idle_metric[g]
+                : normalizedPerf(idle_metric[g], r.gpu_runtime_ms);
             row.push_back(perf);
-            columns[column++].push_back(perf);
+            columns[g].push_back(perf);
         }
-        table.addRow(cpu, row);
+        table.addRow(cpu_apps[c], row);
     }
 
     std::vector<double> gmeans;

@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
@@ -20,24 +21,33 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Fig. 5: user-level L1D miss and branch mispredict increases "
         "from ubench SSRs",
         "(a) L1D miss-rate increase up to ~50 %; (b) branch "
         "misprediction increase up to ~30 %");
 
+    const auto &cpu_apps = parsec::benchmarkNames();
+    ExperimentConfig base = bench::defaultConfig();
+    base.gpu_demand_paging = false;
+    bench::CellBatch batch(jobs);
+    std::vector<std::size_t> pinned; // [cpu]
+    std::vector<std::size_t> paged;  // [cpu]
+    for (const auto &cpu : cpu_apps) {
+        pinned.push_back(batch.add(cpu, "ubench", base,
+                                   MeasureMode::CpuPrimary, reps));
+        paged.push_back(batch.add(cpu, "ubench", bench::defaultConfig(),
+                                  MeasureMode::CpuPrimary, reps));
+    }
+    batch.run();
+
     std::printf("%-14s %12s %12s %14s %12s %12s %14s\n", "cpu_app",
                 "L1D_base", "L1D_ssr", "L1D_incr(%)", "bp_base",
                 "bp_ssr", "bp_incr(%)");
-    for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
-        const RunResult clean = ExperimentRunner::runAveraged(
-            cpu, "ubench", base, MeasureMode::CpuPrimary, reps);
-        const RunResult ssr = ExperimentRunner::runAveraged(
-            cpu, "ubench", bench::defaultConfig(),
-            MeasureMode::CpuPrimary, reps);
+    for (std::size_t c = 0; c < cpu_apps.size(); ++c) {
+        const RunResult &clean = batch[pinned[c]];
+        const RunResult &ssr = batch[paged[c]];
         const double l1d_incr = clean.user_l1d_miss_rate > 0
             ? (ssr.user_l1d_miss_rate / clean.user_l1d_miss_rate - 1.0)
                 * 100.0
@@ -47,7 +57,7 @@ main(int argc, char **argv)
                - 1.0) * 100.0
             : 0.0;
         std::printf("%-14s %12.4f %12.4f %14.1f %12.4f %12.4f %14.1f\n",
-                    cpu.c_str(), clean.user_l1d_miss_rate,
+                    cpu_apps[c].c_str(), clean.user_l1d_miss_rate,
                     ssr.user_l1d_miss_rate, l1d_incr,
                     clean.user_branch_miss_rate,
                     ssr.user_branch_miss_rate, bp_incr);

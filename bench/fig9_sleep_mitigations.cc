@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
@@ -19,29 +20,33 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Fig. 9: CC6 residency under ubench SSRs per mitigation combo",
         "no_SSR 86 %, default 12 %, steer ~50 %, coalescing alone "
         "~no help, all three 57 %");
 
-    bench::progress("ubench without SSRs");
+    const std::vector<MitigationConfig> combos =
+        MitigationConfig::allCombinations();
     ExperimentConfig base = bench::defaultConfig();
     base.gpu_demand_paging = false;
-    const RunResult no_ssr = ExperimentRunner::runAveraged(
-        "", "ubench", base, MeasureMode::GpuOnly, reps);
-    std::printf("%-28s %12s\n", "configuration", "CC6(%)");
-    std::printf("%-28s %12.1f\n", "ubench_no_SSR",
-                no_ssr.cc6_fraction * 100.0);
-
-    for (const MitigationConfig &combo :
-         MitigationConfig::allCombinations()) {
-        bench::progress(combo.label());
+    bench::CellBatch batch(jobs);
+    const std::size_t no_ssr =
+        batch.add("", "ubench", base, MeasureMode::GpuOnly, reps);
+    std::vector<std::size_t> mitigated; // [combo]
+    for (const MitigationConfig &combo : combos) {
         ExperimentConfig config = bench::defaultConfig();
         config.mitigation = combo;
-        const RunResult r = ExperimentRunner::runAveraged(
-            "", "ubench", config, MeasureMode::GpuOnly, reps);
-        std::printf("%-28s %12.1f\n", combo.label().c_str(),
-                    r.cc6_fraction * 100.0);
+        mitigated.push_back(
+            batch.add("", "ubench", config, MeasureMode::GpuOnly, reps));
     }
+    batch.run();
+
+    std::printf("%-28s %12s\n", "configuration", "CC6(%)");
+    std::printf("%-28s %12.1f\n", "ubench_no_SSR",
+                batch[no_ssr].cc6_fraction * 100.0);
+    for (std::size_t m = 0; m < combos.size(); ++m)
+        std::printf("%-28s %12.1f\n", combos[m].label().c_str(),
+                    batch[mitigated[m]].cc6_fraction * 100.0);
     return 0;
 }

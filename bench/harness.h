@@ -3,9 +3,9 @@
  * Shared helpers for the per-figure benchmark harnesses.
  *
  * Each bench binary regenerates one table or figure from the paper:
- * it runs the relevant workload pairs through ExperimentRunner and
- * prints the same rows/series the paper reports, normalized the same
- * way. Absolute numbers differ from the paper's hardware testbed;
+ * it declares the relevant workload pairs as one CellBatch grid, runs
+ * it on --jobs workers, and prints the same rows/series the paper
+ * reports, normalized the same way. Absolute numbers differ from the paper's hardware testbed;
  * the shapes are the reproduction target (see EXPERIMENTS.md).
  */
 

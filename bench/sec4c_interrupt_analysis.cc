@@ -19,22 +19,24 @@ main(int argc, char **argv)
 {
     using namespace hiss;
     const int reps = bench::repsFromArgs(argc, argv, 2);
+    const int jobs = bench::jobsFromArgs(argc, argv);
     bench::banner(
         "Section IV-C: interrupt distribution and IPI amplification",
         "SSR interrupts evenly spread over all CPUs; 477x more IPIs "
         "when ubench creates SSRs");
 
-    bench::progress("ubench with SSRs (busy CPUs)");
-    const RunResult ssr = ExperimentRunner::runAveraged(
-        "streamcluster", "ubench", bench::defaultConfig(),
-        MeasureMode::CpuPrimary, reps);
-
-    bench::progress("ubench without SSRs (baseline IPIs)");
+    // ubench with SSRs (busy CPUs), then without (baseline IPIs).
     ExperimentConfig base = bench::defaultConfig();
     base.gpu_demand_paging = false;
-    const RunResult no_ssr = ExperimentRunner::runAveraged(
-        "streamcluster", "ubench", base, MeasureMode::CpuPrimary,
-        reps);
+    bench::CellBatch batch(jobs);
+    const std::size_t paged =
+        batch.add("streamcluster", "ubench", bench::defaultConfig(),
+                  MeasureMode::CpuPrimary, reps);
+    const std::size_t pinned = batch.add(
+        "streamcluster", "ubench", base, MeasureMode::CpuPrimary, reps);
+    batch.run();
+    const RunResult &ssr = batch[paged];
+    const RunResult &no_ssr = batch[pinned];
 
     std::printf("SSR interrupt distribution across cores "
                 "(busy system):\n");

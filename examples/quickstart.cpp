@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "core/hiss.h"
 
@@ -24,14 +25,16 @@ main()
     std::printf("HISS quickstart: x264 (CPU) vs ubench (GPU)\n\n");
 
     // Baseline: GPU runs with pinned memory -> no SSRs reach the CPU.
-    config.gpu_demand_paging = false;
-    const RunResult baseline = ExperimentRunner::runAveraged(
-        "x264", "ubench", config, MeasureMode::CpuPrimary);
+    ExperimentConfig pinned = config;
+    pinned.gpu_demand_paging = false;
 
-    // Interference: GPU demand-pages -> every access is an SSR.
-    config.gpu_demand_paging = true;
-    const RunResult ssr = ExperimentRunner::runAveraged(
-        "x264", "ubench", config, MeasureMode::CpuPrimary);
+    // Interference: GPU demand-pages -> every access is an SSR. Both
+    // cells average 3 seeds, all six runs in parallel.
+    const std::vector<RunResult> results = ExperimentBatch().run(
+        {{"x264", "ubench", pinned, MeasureMode::CpuPrimary, 3},
+         {"x264", "ubench", config, MeasureMode::CpuPrimary, 3}});
+    const RunResult &baseline = results[0];
+    const RunResult &ssr = results[1];
 
     const double perf =
         normalizedPerf(baseline.cpu_runtime_ms, ssr.cpu_runtime_ms);

@@ -192,24 +192,6 @@ ExperimentRunner::run(const std::string &cpu_app,
 }
 
 RunResult
-ExperimentRunner::runAveraged(const std::string &cpu_app,
-                              const std::string &gpu_app,
-                              const ExperimentConfig &config,
-                              MeasureMode mode, int reps)
-{
-    if (reps <= 0)
-        fatal("ExperimentRunner: reps must be positive");
-    std::vector<RunResult> runs;
-    runs.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        ExperimentConfig c = config;
-        c.seed = config.seed + static_cast<std::uint64_t>(i);
-        runs.push_back(run(cpu_app, gpu_app, c, mode));
-    }
-    return average(runs);
-}
-
-RunResult
 ExperimentRunner::average(const std::vector<RunResult> &runs)
 {
     if (runs.empty())

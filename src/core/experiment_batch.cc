@@ -1,9 +1,13 @@
 #include "core/experiment_batch.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -13,21 +17,10 @@
 namespace hiss {
 namespace {
 
-RunResult
-runCell(const ExperimentCell &cell)
-{
-    if (cell.reps <= 1)
-        return ExperimentRunner::run(cell.cpu_app, cell.gpu_app,
-                                     cell.config, cell.mode);
-    return ExperimentRunner::runAveraged(cell.cpu_app, cell.gpu_app,
-                                         cell.config, cell.mode,
-                                         cell.reps);
-}
-
 /**
- * Per-worker cell-index deque. The owner pops from the back; thieves
- * steal from the front, so a victim loses the cells it would have
- * reached last. Cells are coarse (whole simulations), so a mutex per
+ * Per-worker task-index deque. The owner pops from the back; thieves
+ * steal from the front, so a victim loses the tasks it would have
+ * reached last. Tasks are coarse (whole simulations), so a mutex per
  * deque costs nothing measurable.
  */
 class StealQueue
@@ -67,30 +60,81 @@ class StealQueue
     std::deque<std::size_t> deque_;
 };
 
+/** One simulation: repetition @c rep (seed + rep) of cell @c cell. */
+struct Task
+{
+    std::size_t cell;
+    int rep;
+};
+
 /**
- * Run one cell, recording its result or failure at @p index. Every
- * failure is captured as the live exception_ptr (runCatching later
- * converts it to a typed reason + repro line; run() rethrows it), and
- * every attempt — failed or not — records its host wall-clock cost.
+ * Run one task, recording its result or failure. Every failure is
+ * captured as the live exception_ptr (runCatching later converts it
+ * to a typed reason + repro line; run() rethrows it), and every
+ * attempt — failed or not — records its host wall-clock cost.
  */
 void
-runOne(const std::vector<ExperimentCell> &cells, std::size_t index,
-       std::vector<RunResult> &results,
-       std::vector<std::exception_ptr> &errors,
-       std::vector<double> &wall_ms)
+runTask(const ExperimentCell &cell, int rep, RunResult &result,
+        std::exception_ptr &error, double &wall_ms)
 {
     const auto start = std::chrono::steady_clock::now();
     try {
-        results[index] = runCell(cells[index]);
+        ExperimentConfig config = cell.config;
+        config.seed += static_cast<std::uint64_t>(rep);
+        result = ExperimentRunner::run(cell.cpu_app, cell.gpu_app,
+                                       config, cell.mode);
     } catch (...) {
         // Captured, not swallowed: the pointer carries the typed
         // failure to run()/runCatching.
-        errors[index] = std::current_exception();
+        error = std::current_exception();
     }
-    wall_ms[index] =
+    wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+}
+
+/**
+ * Call @p body(t) for every t in [0, count) on min(jobs, count)
+ * workers and return once every call has finished. Tasks are dealt
+ * round-robin so every worker starts with a local run of the grid;
+ * stealing rebalances when task runtimes diverge.
+ */
+template <typename Body>
+void
+forEachTask(std::size_t count, int jobs, const Body &body)
+{
+    const int workers = static_cast<int>(
+        std::min<std::size_t>(count, static_cast<std::size_t>(jobs)));
+    if (workers <= 1) {
+        for (std::size_t t = 0; t < count; ++t)
+            body(t);
+        return;
+    }
+
+    std::vector<StealQueue> queues(workers);
+    for (std::size_t t = 0; t < count; ++t)
+        queues[t % workers].push(t);
+
+    auto work = [&](int self) {
+        std::size_t t = 0;
+        for (;;) {
+            bool found = queues[self].popBack(t);
+            for (int v = 1; !found && v < workers; ++v)
+                found = queues[(self + v) % workers].stealFront(t);
+            if (!found)
+                return;
+            body(t);
+        }
+    };
+
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    for (int w = 1; w < workers; ++w)
+        threads.emplace_back(work, w);
+    work(0);
+    for (std::thread &th : threads)
+        th.join();
 }
 
 } // namespace
@@ -109,40 +153,49 @@ ExperimentBatch::execute(const std::vector<ExperimentCell> &cells,
                          std::vector<std::exception_ptr> &errors,
                          std::vector<double> &wall_ms) const
 {
-    const int workers = static_cast<int>(
-        std::min<std::size_t>(cells.size(),
-                              static_cast<std::size_t>(jobs_)));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            runOne(cells, i, results, errors, wall_ms);
-        return;
-    }
-
-    // Deal cells round-robin so every worker starts with a local run
-    // of the grid; stealing rebalances when cell runtimes diverge.
-    std::vector<StealQueue> queues(workers);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        queues[i % workers].push(i);
-
-    auto work = [&](int self) {
-        std::size_t index;
-        for (;;) {
-            bool found = queues[self].popBack(index);
-            for (int v = 1; !found && v < workers; ++v)
-                found = queues[(self + v) % workers].stealFront(index);
-            if (!found)
-                return;
-            runOne(cells, index, results, errors, wall_ms);
+    // One task per (cell, rep), in submission then seed order. A cell
+    // without a positive rep count fails here and runs nothing.
+    std::vector<Task> tasks;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (cells[i].reps <= 0) {
+            errors[i] = std::make_exception_ptr(FatalError(
+                "ExperimentBatch: reps must be positive, got "
+                + std::to_string(cells[i].reps)));
+            continue;
         }
-    };
+        for (int r = 0; r < cells[i].reps; ++r)
+            tasks.push_back({i, r});
+    }
+    std::vector<RunResult> runs(tasks.size());
+    std::vector<std::exception_ptr> run_errors(tasks.size());
+    std::vector<double> run_ms(tasks.size());
+    forEachTask(tasks.size(), jobs_, [&](std::size_t t) {
+        runTask(cells[tasks[t].cell], tasks[t].rep, runs[t],
+                run_errors[t], run_ms[t]);
+    });
 
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (int w = 1; w < workers; ++w)
-        threads.emplace_back(work, w);
-    work(0);
-    for (std::thread &t : threads)
-        t.join();
+    // Fold each cell's reps in seed order: wall time adds up, the
+    // first failing rep supplies the error, and a multi-rep cell
+    // averages exactly as a serial seed loop would.
+    std::size_t first = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (cells[i].reps <= 0)
+            continue;
+        const std::size_t end =
+            first + static_cast<std::size_t>(cells[i].reps);
+        for (std::size_t t = first; t < end; ++t) {
+            wall_ms[i] += run_ms[t];
+            if (!errors[i])
+                errors[i] = run_errors[t];
+        }
+        if (!errors[i])
+            results[i] = cells[i].reps == 1
+                ? std::move(runs[first])
+                : ExperimentRunner::average(std::vector<RunResult>(
+                      std::make_move_iterator(runs.begin() + first),
+                      std::make_move_iterator(runs.begin() + end)));
+        first = end;
+    }
 }
 
 std::vector<RunResult>
@@ -191,23 +244,6 @@ ExperimentBatch::runCatching(const std::vector<ExperimentCell> &cells) const
         }
     }
     return outcomes;
-}
-
-RunResult
-ExperimentBatch::runAveraged(const std::string &cpu_app,
-                             const std::string &gpu_app,
-                             const ExperimentConfig &config,
-                             MeasureMode mode, int reps) const
-{
-    if (reps <= 0)
-        fatal("ExperimentBatch: reps must be positive");
-    std::vector<ExperimentCell> cells(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        cells[i] = {cpu_app, gpu_app, config, mode, 1};
-        cells[i].config.seed =
-            config.seed + static_cast<std::uint64_t>(i);
-    }
-    return ExperimentRunner::average(run(cells));
 }
 
 } // namespace hiss

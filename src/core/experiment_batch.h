@@ -4,10 +4,12 @@
  *
  * Every figure in the paper is a CPU-app x GPU-app x mitigation x
  * seed grid of independent single-threaded simulations — an
- * embarrassingly parallel shape the serial ExperimentRunner loops
- * leave on the table. ExperimentBatch runs a vector of experiment
+ * embarrassingly parallel shape a serial loop over ExperimentRunner
+ * leaves on the table. ExperimentBatch runs a vector of experiment
  * cells on a work-stealing thread pool and returns results in
- * submission order.
+ * submission order. It is the one place repetitions fan out: a cell
+ * with reps = N becomes N independent tasks (seeds seed .. seed+N-1)
+ * that fold back through ExperimentRunner::average in seed order.
  *
  * Determinism contract: each cell's simulation state (event queue,
  * stats, RNG streams) lives inside its own HeteroSystem, and every
@@ -38,7 +40,10 @@ struct ExperimentCell
     ExperimentConfig config;
     MeasureMode mode = MeasureMode::CpuPrimary;
 
-    /** > 1 averages over seeds like ExperimentRunner::runAveraged. */
+    /**
+     * Repetitions with seeds seed, seed+1, ...; > 1 averages them
+     * through ExperimentRunner::average. Must be positive.
+     */
     int reps = 1;
 };
 
@@ -61,9 +66,9 @@ struct CellOutcome
      */
     std::string repro;
     /**
-     * Host wall-clock time this cell's run took, successful or not.
-     * Diagnostic only (per-cell containment budgets in src/campaign);
-     * never folded into simulation results.
+     * Host wall-clock time this cell's runs took, successful or not,
+     * summed over its reps. Diagnostic only (per-cell containment
+     * budgets in src/campaign); never folded into simulation results.
      */
     double wall_ms = 0.0;
 };
@@ -82,11 +87,13 @@ class ExperimentBatch
     int jobs() const { return jobs_; }
 
     /**
-     * Run every cell and return results in submission order. Cells
-     * execute on min(jobs, cells.size()) workers with work stealing,
-     * so stragglers (long CPU apps) do not serialize the tail. If any
-     * cell throws, the first failure in submission order is rethrown
-     * after all workers finish.
+     * Run every cell and return results in submission order. Each
+     * (cell, rep) pair is one task; tasks execute on min(jobs, tasks)
+     * workers with work stealing, so stragglers (long CPU apps) do
+     * not serialize the tail. If any cell fails — a rep throws, or
+     * reps <= 0 (FatalError) — the first failure in submission order,
+     * and within a cell in seed order, is rethrown after all workers
+     * finish.
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells) const;
 
@@ -94,27 +101,18 @@ class ExperimentBatch
      * Like run(), but failures never propagate: every cell runs to
      * an outcome, and failing cells carry the error text instead of
      * a result. Built for hiss_fuzz, which must keep fuzzing after a
-     * seed fails and attribute each failure to its cell.
+     * seed fails and attribute each failure to its cell. A cell's
+     * error is its first failing rep's, and its repro is the cell's.
      */
     std::vector<CellOutcome>
     runCatching(const std::vector<ExperimentCell> &cells) const;
 
-    /**
-     * Parallel ExperimentRunner::runAveraged: the @p reps repetitions
-     * (seeds seed, seed+1, ...) run as independent cells across the
-     * pool, then fold through ExperimentRunner::average in seed
-     * order — bit-identical to the serial call.
-     */
-    RunResult runAveraged(const std::string &cpu_app,
-                          const std::string &gpu_app,
-                          const ExperimentConfig &config,
-                          MeasureMode mode, int reps = 3) const;
-
   private:
     /**
-     * The shared engine: run every cell, capturing each failure in
-     * @p errors at the failing cell's index and each cell's host
-     * wall-clock duration (ms) in @p wall_ms.
+     * The shared engine: run every (cell, rep) task, then fold each
+     * cell's reps into @p results, its first failure into @p errors
+     * and its summed host wall-clock duration (ms) into @p wall_ms,
+     * all at the cell's index.
      */
     void execute(const std::vector<ExperimentCell> &cells,
                  std::vector<RunResult> &results,

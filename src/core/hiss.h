@@ -13,8 +13,9 @@
  * Typical usage:
  * @code
  *   hiss::ExperimentConfig config;
- *   auto result = hiss::ExperimentRunner::runAveraged(
- *       "x264", "ubench", config, hiss::MeasureMode::CpuPrimary);
+ *   auto results = hiss::ExperimentBatch().run(
+ *       {{"x264", "ubench", config, hiss::MeasureMode::CpuPrimary, 3}});
+ *   // results[0]: the x264 + ubench pair averaged over seeds 1..3.
  * @endcode
  */
 

@@ -156,17 +156,13 @@ void
 Iommu::finishWalk(Vpn vpn, TranslateCallback on_complete,
                   bool allow_fault, Pasid pasid, snap::Token cb_token)
 {
-    PageTable &table = spaces_.table(pasid);
+    // Pinned-memory baseline: the page was (conceptually) mapped
+    // before launch, so the walk succeeds with no host work. No frame
+    // is allocated and no page-table entry written: nothing reads that
+    // state, and a looping pinned workload would otherwise grow it
+    // without bound.
     Pfn pfn;
-    if (table.translate(vpn, pfn)) {
-        insertIotlb(vpn);
-        on_complete(TranslateResult::Ok);
-        return;
-    }
-    if (!allow_fault) {
-        // Pinned-memory baseline: the page was (conceptually)
-        // mapped before launch; install it with no host work.
-        table.map(vpn, kernel_.frames().allocate());
+    if (!allow_fault || spaces_.table(pasid).translate(vpn, pfn)) {
         insertIotlb(vpn);
         on_complete(TranslateResult::Ok);
         return;

@@ -105,9 +105,9 @@ class Iommu : public SimObject, public RequestSource
      * Resolution paths: IOTLB hit; walk hit (mapped page); or — when
      * @p allow_fault — a PPR serviced by the host (the full SSR
      * chain), after which the callback fires. With @p allow_fault
-     * false an unmapped page is treated as pinned-at-first-use: it
-     * is mapped instantly with no host involvement (models the
-     * traditional pinned-memory baseline, i.e. "no SSRs").
+     * false every walk succeeds with no host involvement and no
+     * frame or page-table entry allocated (models the traditional
+     * pinned-memory baseline, i.e. "no SSRs").
      *
      * @p cb_token names the producer of @p on_complete so a pending
      * translation can be re-materialized from a snapshot; callers

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/experiment_batch.h"
 #include "sim/logging.h"
 
 namespace hiss {
@@ -83,11 +84,11 @@ TEST(ExperimentRunner, PerCoreIrqVectorPopulated)
     EXPECT_EQ(total, r.ssr_interrupts);
 }
 
-TEST(ExperimentRunner, RunAveragedAveragesAcrossSeeds)
+TEST(ExperimentRunner, RepsCellAveragesAcrossSeeds)
 {
     ExperimentConfig config = fastConfig();
-    const RunResult avg = ExperimentRunner::runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 2);
+    const RunResult avg = ExperimentBatch(1).run(
+        {{"", "spmv", config, MeasureMode::GpuOnly, 2}}).front();
     const RunResult s0 = ExperimentRunner::run(
         "", "spmv", config, MeasureMode::GpuOnly);
     ExperimentConfig config1 = config;
@@ -112,8 +113,8 @@ TEST(ExperimentRunner, ModeValidation)
     EXPECT_THROW(ExperimentRunner::run("x264", "ubench", fastConfig(),
                                        MeasureMode::CpuOnly),
                  FatalError);
-    EXPECT_THROW(ExperimentRunner::runAveraged(
-                     "", "spmv", fastConfig(), MeasureMode::GpuOnly, 0),
+    EXPECT_THROW(ExperimentBatch(1).run(
+                     {{"", "spmv", fastConfig(), MeasureMode::GpuOnly, 0}}),
                  FatalError);
 }
 

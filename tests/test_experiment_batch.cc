@@ -4,13 +4,16 @@
  *
  * The load-bearing property is the determinism contract: a parallel
  * batch must be bit-identical to running the same cells serially
- * through ExperimentRunner, at any job count.
+ * through ExperimentRunner, at any job count, with a multi-rep cell
+ * folding its seeds exactly as ExperimentRunner::average does.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/cell_key.h"
 #include "core/experiment_batch.h"
 #include "sim/logging.h"
 
@@ -91,26 +94,116 @@ TEST(ExperimentBatch, JobCountDoesNotChangeResults)
     }
 }
 
-TEST(ExperimentBatch, RunAveragedMatchesSerialRunAveraged)
+/**
+ * The reference for a cell: ExperimentRunner::run per seed, folded by
+ * ExperimentRunner::average when the cell has more than one rep.
+ */
+RunResult
+serialReference(const ExperimentCell &cell)
 {
-    const ExperimentConfig config = fastConfig(81);
-    const RunResult serial = ExperimentRunner::runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 3);
-    const RunResult parallel = ExperimentBatch(3).runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 3);
-    expectIdentical(serial, parallel);
+    std::vector<RunResult> runs;
+    for (int r = 0; r < cell.reps; ++r) {
+        ExperimentConfig config = cell.config;
+        config.seed += static_cast<std::uint64_t>(r);
+        runs.push_back(ExperimentRunner::run(cell.cpu_app, cell.gpu_app,
+                                             config, cell.mode));
+    }
+    return cell.reps == 1 ? runs.front() : ExperimentRunner::average(runs);
 }
 
-TEST(ExperimentBatch, CellRepsAverageLikeRunAveraged)
+TEST(ExperimentBatch, MixedRepsGridMatchesSerialAverage)
 {
-    ExperimentCell cell{"", "spmv", fastConfig(81),
-                        MeasureMode::GpuOnly, 2};
-    const std::vector<RunResult> results =
-        ExperimentBatch(2).run({cell});
-    ASSERT_EQ(results.size(), 1u);
-    const RunResult serial = ExperimentRunner::runAveraged(
-        "", "spmv", cell.config, cell.mode, cell.reps);
-    expectIdentical(results[0], serial);
+    // Distinct cells, so a result served at the wrong index shows.
+    const std::vector<ExperimentCell> cells = {
+        {"", "spmv", fastConfig(81), MeasureMode::GpuOnly, 3},
+        {"swaptions", "ubench", fastConfig(81), MeasureMode::CpuPrimary,
+         1},
+        {"", "ubench", fastConfig(83), MeasureMode::GpuOnly, 3},
+        {"", "spmv", fastConfig(84), MeasureMode::GpuOnly, 1},
+    };
+    std::vector<RunResult> reference;
+    for (const ExperimentCell &cell : cells)
+        reference.push_back(serialReference(cell));
+    for (const int jobs : {1, 3, 16}) {
+        SCOPED_TRACE(jobs);
+        const std::vector<RunResult> results =
+            ExperimentBatch(jobs).run(cells);
+        ASSERT_EQ(results.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            expectIdentical(results[i], reference[i]);
+    }
+}
+
+TEST(ExperimentBatch, FailingRepReportsItsErrorAndCellRepro)
+{
+    // Simulated DRAM sized so that, of ubench's 2 ms windows at seeds
+    // 85, 86 and 87, only seed 86 faults in more pages than fit.
+    SystemConfig small;
+    small.kernel.dram_frames = 780;
+    ExperimentConfig config = fastConfig(85);
+    config.rate_window = msToTicks(2);
+    config.base_system = &small;
+    const ExperimentCell failing{"", "ubench", config,
+                                 MeasureMode::GpuOnly, 3};
+
+    std::string rep1_error;
+    for (int r = 0; r < 3; ++r) {
+        ExperimentConfig c = config;
+        c.seed += static_cast<std::uint64_t>(r);
+        if (r == 1) {
+            try {
+                ExperimentRunner::run("", "ubench", c,
+                                      MeasureMode::GpuOnly);
+            } catch (const FatalError &e) {
+                rep1_error = e.what();
+            }
+        } else {
+            ASSERT_NO_THROW(ExperimentRunner::run(
+                "", "ubench", c, MeasureMode::GpuOnly))
+                << "rep " << r;
+        }
+    }
+    ASSERT_NE(rep1_error.find("out of simulated physical memory"),
+              std::string::npos)
+        << rep1_error;
+
+    const std::vector<ExperimentCell> cells = {
+        {"", "spmv", fastConfig(81), MeasureMode::GpuOnly, 1}, failing};
+    for (const int jobs : {1, 3, 16}) {
+        SCOPED_TRACE(jobs);
+        const std::vector<CellOutcome> outcomes =
+            ExperimentBatch(jobs).runCatching(cells);
+        ASSERT_EQ(outcomes.size(), 2u);
+        EXPECT_TRUE(outcomes[0].ok);
+        expectIdentical(outcomes[0].result, serialReference(cells[0]));
+        EXPECT_FALSE(outcomes[1].ok);
+        EXPECT_EQ(outcomes[1].error, rep1_error);
+        EXPECT_EQ(outcomes[1].repro, cellRepro(failing));
+        EXPECT_GT(outcomes[1].wall_ms, 0.0);
+    }
+    EXPECT_THROW(ExperimentBatch(3).run(cells), FatalError);
+}
+
+TEST(ExperimentBatch, NonPositiveRepsFailTheCell)
+{
+    std::vector<ExperimentCell> cells = testGrid();
+    cells.resize(3);
+    cells[1].reps = 0;
+    cells[2].reps = -2;
+    EXPECT_THROW(ExperimentBatch(1).run(cells), FatalError);
+    EXPECT_THROW(ExperimentBatch(4).run(cells), FatalError);
+
+    const std::vector<CellOutcome> outcomes =
+        ExperimentBatch(2).runCatching(cells);
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_TRUE(outcomes[0].ok);
+    for (std::size_t i = 1; i < 3; ++i) {
+        EXPECT_FALSE(outcomes[i].ok);
+        EXPECT_NE(outcomes[i].error.find("reps must be positive"),
+                  std::string::npos)
+            << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].repro, cellRepro(cells[i]));
+    }
 }
 
 TEST(ExperimentBatch, DefaultJobsUsesHardwareConcurrency)

@@ -20,10 +20,12 @@ class IommuTest : public ::testing::Test
     IommuTest() : ctx{events, stats, 41} {}
 
     void
-    build(IommuParams params = {}, int cores = 4)
+    build(IommuParams params = {}, int cores = 4,
+          std::uint64_t dram_frames = KernelParams{}.dram_frames)
     {
         KernelParams kparams;
         kparams.housekeeping_period = 0;
+        kparams.dram_frames = dram_frames;
         kernel = std::make_unique<Kernel>(ctx, cores, CpuCoreParams{},
                                           kparams);
         iommu = std::make_unique<Iommu>(ctx, *kernel, params);
@@ -80,16 +82,25 @@ TEST_F(IommuTest, UnmappedPageFaultsThroughFullChain)
     EXPECT_GE(iommu->iotlbMisses(), 1u);
 }
 
-TEST_F(IommuTest, PinnedModeAutoMapsWithoutHost)
+TEST_F(IommuTest, PinnedWalksNeedNoHostAndNoFrames)
 {
-    build();
-    int done = 0;
-    iommu->translate(123, [&](TranslateResult) { ++done; }, /*allow_fault=*/false);
+    // Far more distinct pinned pages than simulated DRAM holds: every
+    // walk completes with no host work, and none allocates a frame or
+    // writes a page-table entry.
+    build({}, 4, /*dram_frames=*/8);
+    constexpr int kPages = 64;
+    int ok = 0;
+    for (Vpn v = 0; v < kPages; ++v)
+        iommu->translate(
+            1000 + v,
+            [&](TranslateResult r) { ok += r == TranslateResult::Ok; },
+            /*allow_fault=*/false);
     events.runUntil(usToTicks(10));
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(ok, kPages);
     EXPECT_EQ(iommu->pprsIssued(), 0u);
     EXPECT_EQ(iommu->msisRaised(), 0u);
-    EXPECT_TRUE(kernel->gpuPageTable().isMapped(123));
+    EXPECT_EQ(kernel->frames().allocatedFrames(), 0u);
+    EXPECT_EQ(kernel->gpuPageTable().numMapped(), 0u);
 }
 
 TEST_F(IommuTest, IotlbEvictsFifoWhenFull)

@@ -40,6 +40,14 @@
 #                                      plus the substrate-equivalence
 #                                      suites, proving the scalar
 #                                      fallback has not rotted)
+#        tools/ci.sh e2e              (figure-harness leg: fig3a, 3b,
+#                                      4, 5, 9, 12 and sec4c must print
+#                                      byte-identical stdout at --reps 1
+#                                      with --jobs 1 and --jobs 4, and
+#                                      fig4, fig9 and sec4c at --jobs 4
+#                                      must match the read-only
+#                                      hissbench/references/*.stdout;
+#                                      not part of the preset sweep)
 #        tools/ci.sh campaign [preset...]
 #                                     (crash-drill leg, default presets
 #                                      default check asan: shard a grid
@@ -311,6 +319,54 @@ run_nosimd() {
 }
 if [ "${1-}" = "nosimd" ]; then
     run_nosimd
+    exit 0
+fi
+
+# `e2e` mode: the figure harnesses end to end (docs/TESTING.md
+# "Figure harnesses"). Every harness runs its grid through
+# bench::CellBatch -> ExperimentBatch, so stdout must not depend on
+# the job count; --reps 1 keeps the serial (--jobs 1) runs short.
+# The committed hissbench references were recorded at --jobs 4, which
+# bench::repsFromArgs also reads as 4 reps (see ROADMAP), so the
+# reference check passes exactly those arguments.
+run_e2e() {
+    local harnesses=(fig3a_cpu_perf fig3b_gpu_perf fig4_cc6_residency
+                     fig5_uarch_pollution fig9_sleep_mitigations
+                     fig12_qos sec4c_interrupt_analysis)
+    cmake --preset default
+    cmake --build --preset default -j "$jobs" --target "${harnesses[@]}"
+    local tmpdir
+    tmpdir=$(mktemp -d)
+    local h
+    for h in "${harnesses[@]}"; do
+        build-default/bench/"$h" --reps 1 --jobs 1 \
+            > "$tmpdir/$h.jobs1" 2> /dev/null
+        build-default/bench/"$h" --reps 1 --jobs 4 \
+            > "$tmpdir/$h.jobs4" 2> /dev/null
+        cmp "$tmpdir/$h.jobs1" "$tmpdir/$h.jobs4" || {
+            echo "ci: e2e leg FAILED: $h stdout differs between" \
+                 "--jobs 1 and --jobs 4"
+            rm -rf "$tmpdir"
+            exit 1
+        }
+        echo "ci: e2e $h byte-identical at --jobs 1 and 4"
+    done
+    for h in fig4_cc6_residency fig9_sleep_mitigations \
+             sec4c_interrupt_analysis; do
+        build-default/bench/"$h" --jobs 4 > "$tmpdir/$h.ref" 2> /dev/null
+        cmp "$tmpdir/$h.ref" "hissbench/references/$h.stdout" || {
+            echo "ci: e2e leg FAILED: $h --jobs 4 differs from" \
+                 "hissbench/references/$h.stdout"
+            rm -rf "$tmpdir"
+            exit 1
+        }
+        echo "ci: e2e $h matches its hissbench reference"
+    done
+    rm -rf "$tmpdir"
+    echo "ci: e2e leg passed"
+}
+if [ "${1-}" = "e2e" ]; then
+    run_e2e
     exit 0
 fi
 

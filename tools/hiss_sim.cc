@@ -416,9 +416,9 @@ printHostThroughput(std::chrono::steady_clock::time_point wall_start,
     std::printf("\n");
 }
 
-/** --reps path: average repetitions, run in parallel on --jobs. */
+/** --reps path: one multi-rep cell, its reps in parallel on --jobs. */
 int
-runAveraged(const Options &opt)
+runReps(const Options &opt)
 {
     if (opt.cpu_apps.size() > 1 || opt.extra_accelerators > 0
         || !opt.trace_path.empty() || !opt.stats_path.empty()
@@ -443,8 +443,8 @@ runAveraged(const Options &opt)
         config.rate_window = msToTicks(opt.duration_ms);
 
     // The base testbed must outlive the batch: cells only keep the
-    // pointer. runAveraged blocks until every repetition finishes, so
-    // a stack-local SystemConfig is safe here. It carries the options
+    // pointer. run() blocks until every repetition finishes, so a
+    // stack-local SystemConfig is safe here. It carries the options
     // ExperimentConfig cannot express: core count, the adaptive
     // coalescing mode, and the QoS throttle policy.
     SystemConfig base;
@@ -463,8 +463,9 @@ runAveraged(const Options &opt)
 
     const auto wall_start = std::chrono::steady_clock::now();
     const ExperimentBatch batch(opt.jobs);
-    const RunResult avg = batch.runAveraged(cpu_app, opt.gpu_app,
-                                            config, mode, opt.reps);
+    const RunResult avg =
+        batch.run({{cpu_app, opt.gpu_app, config, mode, opt.reps}})
+            .front();
 
     std::printf("averaged %d runs (seeds %llu..%llu, %d jobs)\n",
                 opt.reps, static_cast<unsigned long long>(opt.seed),
@@ -536,7 +537,7 @@ run(const Options &opt)
     if (opt.cpu_apps.empty() && opt.gpu_app.empty())
         fatal("nothing to run: give --cpu and/or --gpu (see --help)");
     if (opt.reps > 1)
-        return runAveraged(opt);
+        return runReps(opt);
 
     const auto wall_start = std::chrono::steady_clock::now();
     HeteroSystem sys(config);
