@@ -14,6 +14,10 @@
  * the loop. They draw *exactly* the sequence the scalar next() loop
  * would — element i of a fill is bit-identical to the i-th next() —
  * which is the substrate determinism contract (docs/TESTING.md).
+ * Each stream prepares its fixed ranges and probabilities once at
+ * construction (IntRange, Chance), so a fill draws the same values
+ * as the plain Rng::uniformInt/withProbability loop without a
+ * division per draw (pinned by SubstrateBatch.*FillMatchesPlainRng).
  */
 
 #ifndef HISS_MEM_ADDRESS_STREAM_H_
@@ -97,6 +101,18 @@ class AddressStream
     // HISS_STATE_EXEMPT(base_): structural; base address fixed at
     // construction
     Addr base_;
+    // HISS_STATE_EXEMPT(hot_): derived draw range, rebuilt from the
+    // profile at construction
+    IntRange hot_; // Hot-subset line pick.
+    // HISS_STATE_EXEMPT(cold_): derived draw range, rebuilt from the
+    // profile at construction
+    IntRange cold_; // Working-set line pick.
+    // HISS_STATE_EXEMPT(hot_chance_): derived threshold, rebuilt from
+    // the profile at construction
+    Chance hot_chance_;
+    // HISS_STATE_EXEMPT(stride_chance_): derived threshold, rebuilt
+    // from the profile at construction
+    Chance stride_chance_;
     Rng rng_;
     Addr cursor_; // Sequential-walk position within the cold region.
 };
@@ -142,10 +158,16 @@ class BranchStream
     // HISS_STATE_EXEMPT(pc_base_): structural; PC base fixed at
     // construction
     Addr pc_base_;
+    // HISS_STATE_EXEMPT(site_): derived draw range, rebuilt from the
+    // profile at construction
+    IntRange site_; // Branch-site pick.
+    // HISS_STATE_EXEMPT(noise_): derived threshold, rebuilt from the
+    // profile at construction
+    Chance noise_;
     Rng rng_;
-    // HISS_STATE_EXEMPT(biases_): drawn at construction from the
+    // HISS_STATE_EXEMPT(taken_): drawn at construction from the
     // profile seed; a rebuilt stream reproduces them identically
-    std::vector<double> biases_; // Per-site taken probability.
+    std::vector<Chance> taken_; // Per-site taken probability.
 };
 
 } // namespace hiss

@@ -88,11 +88,38 @@ struct PortableProbe
 };
 
 /**
+ * The miss victim: the *last* invalid way (stamp 0) if any way is
+ * invalid, otherwise the first way holding the minimum LRU stamp.
+ * Stamp 0 is below every valid stamp, so one running minimum with
+ * "take ties at 0" yields both rules. The scan is conditional
+ * selects, not jumps: which way wins depends on the data, and on
+ * fresh streams a branchy scan mispredicts on nearly every miss.
+ */
+inline std::uint32_t
+missVictim(const std::uint64_t *set_lru, std::uint32_t assoc)
+{
+    std::uint32_t victim = 0;
+    std::uint64_t victim_stamp = set_lru[0];
+    for (std::uint32_t w = 1; w < assoc; ++w) {
+        const std::uint64_t stamp = set_lru[w];
+        // All-ones when way w replaces the running choice. Masks,
+        // not ternaries: compilers turn a ternary here back into the
+        // jump this scan exists to avoid.
+        const std::uint64_t take = ~std::uint64_t{0}
+            * static_cast<std::uint64_t>((stamp < victim_stamp)
+                                         | (stamp == 0));
+        victim ^= (victim ^ w) & static_cast<std::uint32_t>(take);
+        victim_stamp ^= (victim_stamp ^ stamp) & take;
+    }
+    return victim;
+}
+
+/**
  * The one lookup/replace loop. Hot state (use clock, miss count)
- * lives in locals across the loop; a hit exits before the victim
- * bookkeeping runs. Replacement matches the original scalar
- * semantics exactly: the victim is the *last* invalid way if any way
- * is invalid, otherwise the first way holding the minimum LRU stamp.
+ * lives in locals across the loop. The hit test stays a branch: a
+ * hit exits before the victim bookkeeping runs, and on replayed
+ * inputs the host predictor learns the hit pattern. Replacement is
+ * missVictim's true LRU.
  */
 template <class Probe, bool Record>
 std::uint64_t
@@ -125,16 +152,7 @@ run(RunState &state, const Addr *addrs, std::size_t n,
             continue;
         }
 
-        // Miss: victim is the last invalid way if any, otherwise the
-        // first way holding the minimum LRU stamp (true LRU).
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 0; w < assoc; ++w) {
-            if (set_lru[w] == 0)
-                victim = w;
-            else if (set_lru[victim] != 0
-                     && set_lru[w] < set_lru[victim])
-                victim = w;
-        }
+        const std::uint32_t victim = missVictim(set_lru, assoc);
         set_tags[victim] = code;
         set_lru[victim] = ++clock;
         ++miss_count;

@@ -126,7 +126,7 @@ struct Access
     static void
     save(Writer &w, const BranchStream &s)
     {
-        // biases_ is drawn at construction from the same seed and so
+        // taken_ is drawn at construction from the same seed and so
         // reproduces identically; only the live rng cursor moves.
         save(w, s.rng_);
     }
@@ -382,7 +382,7 @@ struct Access
     static void
     hash(Hash64 &h, const BranchStream &s)
     {
-        // As in save: biases_ reproduce from the construction seed.
+        // As in save: taken_ reproduces from the construction seed.
         hash(h, s.rng_);
     }
 

@@ -2,13 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <string>
 
 #include "mem/address_stream.h"
 #include "sim/logging.h"
 
 namespace hiss {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** @p construct must throw a FatalError whose message names @p field. */
+template <class Fn>
+void
+expectFatalNaming(Fn construct, const std::string &field)
+{
+    try {
+        construct();
+        ADD_FAILURE() << "no FatalError for a bad " << field;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
 
 MemoryProfile
 basicProfile()
@@ -34,6 +53,19 @@ TEST(AddressStream, ValidationErrors)
     p = basicProfile();
     p.hot_fraction = 1.5;
     EXPECT_THROW(AddressStream(p, 0, 1), FatalError);
+
+    // Every probability is range-checked, NaN and infinities
+    // included, and the error names the field.
+    for (const double bad : {-0.1, 1.5, kNaN, kInf, -kInf}) {
+        p = basicProfile();
+        p.hot_fraction = bad;
+        expectFatalNaming([&] { AddressStream(p, 0, 1); },
+                          "hot_fraction");
+        p = basicProfile();
+        p.stride_fraction = bad;
+        expectFatalNaming([&] { AddressStream(p, 0, 1); },
+                          "stride_fraction");
+    }
 }
 
 TEST(AddressStream, AddressesStayInWorkingSet)
@@ -125,6 +157,19 @@ TEST(BranchStream, ValidationErrors)
     p.bias_min = 0.9;
     p.bias_max = 0.5;
     EXPECT_THROW(BranchStream(p, 0, 1), FatalError);
+
+    for (const double bad : {-0.1, 1.5, kNaN, kInf, -kInf}) {
+        p = basicBranchProfile();
+        p.bias_min = bad;
+        expectFatalNaming([&] { BranchStream(p, 0, 1); }, "bias_min");
+        p = basicBranchProfile();
+        p.bias_max = bad;
+        expectFatalNaming([&] { BranchStream(p, 0, 1); }, "bias_max");
+        p = basicBranchProfile();
+        p.pattern_noise = bad;
+        expectFatalNaming([&] { BranchStream(p, 0, 1); },
+                          "pattern_noise");
+    }
 }
 
 TEST(BranchStream, PcsComeFromDeclaredSites)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -140,6 +142,136 @@ TEST(Cache, BatchMatchesScalarStateHash)
               addrs.size() - hits);
     EXPECT_EQ(batched.stateHash(), scalar.stateHash());
     EXPECT_EQ(batched.misses(), scalar.misses());
+}
+
+/**
+ * A literal true-LRU model, independent of Cache's tag-code arrays
+ * and of the shared run loop every probe kernel executes: per set, a
+ * vector of {valid, tag, stamp} ways; a miss fills the last invalid
+ * way if any, else the first way holding the minimum stamp.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint32_t num_sets, std::uint32_t assoc,
+                 std::uint32_t line_bytes)
+        : line_bytes_(line_bytes), sets_(num_sets, std::vector<Way>(assoc))
+    {
+    }
+
+    bool
+    access(Addr addr)
+    {
+        const Addr tag = addr / line_bytes_;
+        std::vector<Way> &ways = sets_[tag % sets_.size()];
+        for (Way &way : ways) {
+            if (way.valid && way.tag == tag) {
+                way.stamp = ++clock_;
+                return true;
+            }
+        }
+        std::size_t victim = ways.size();
+        for (std::size_t w = 0; w < ways.size(); ++w)
+            if (!ways[w].valid)
+                victim = w;
+        if (victim == ways.size()) {
+            victim = 0;
+            for (std::size_t w = 1; w < ways.size(); ++w)
+                if (ways[w].stamp < ways[victim].stamp)
+                    victim = w;
+        }
+        ways[victim] = Way{true, tag, ++clock_};
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (std::vector<Way> &ways : sets_)
+            for (Way &way : ways)
+                way.valid = false;
+    }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    std::uint32_t line_bytes_;
+    std::uint64_t clock_ = 0;
+    std::vector<std::vector<Way>> sets_;
+};
+
+TEST(Cache, MatchesReferenceLruModel)
+{
+    std::vector<CacheKernel> kernels = {CacheKernel::Portable};
+    if (Cache::kernelSupported(CacheKernel::Avx2))
+        kernels.push_back(CacheKernel::Avx2);
+    Rng rng(0x1A0);
+    for (const CacheKernel kernel : kernels) {
+        ASSERT_TRUE(Cache::setKernel(kernel));
+        for (int trial = 0; trial < 40; ++trial) {
+            // 1, 2, 4, 8, 16 ways: the 4- and 8-way probe special
+            // cases and the generic loop, over 1..64 sets.
+            const auto assoc = static_cast<std::uint32_t>(
+                1u << rng.uniformInt(0, 4));
+            const auto sets = static_cast<std::uint32_t>(
+                1u << rng.uniformInt(0, 6));
+            const auto line = static_cast<std::uint32_t>(
+                32u << rng.uniformInt(0, 2));
+            Cache cache(CacheParams{sets * assoc * line, assoc, line});
+            ReferenceLru ref(sets, assoc, line);
+
+            // Half the draws from a hot pool half the capacity, half
+            // from a pool 4x the capacity: steady hits and evictions.
+            const std::uint64_t lines = std::uint64_t{sets} * assoc;
+            const Addr high = rng.uniformInt(0, 1) << 40;
+            std::vector<Addr> addrs(rng.uniformInt(200, 3000));
+            for (Addr &a : addrs) {
+                const std::uint64_t pool = rng.withProbability(0.5)
+                    ? std::max<std::uint64_t>(lines / 2, 1)
+                    : 4 * lines;
+                a = high + rng.uniformInt(0, pool - 1) * line
+                    + rng.uniformInt(0, line - 1);
+            }
+
+            std::vector<std::uint8_t> expect(addrs.size());
+            std::vector<std::uint8_t> got(addrs.size());
+            std::uint64_t flushes = 0;
+            std::size_t i = 0;
+            while (i < addrs.size()) {
+                if (rng.withProbability(0.05)) {
+                    cache.flush();
+                    ref.flush();
+                    ++flushes;
+                }
+                const std::size_t n = std::min<std::size_t>(
+                    rng.uniformInt(1, 200), addrs.size() - i);
+                for (std::size_t k = i; k < i + n; ++k)
+                    expect[k] = static_cast<std::uint8_t>(
+                        ref.access(addrs[k]));
+                cache.accessBatch(addrs.data() + i, n, got.data() + i);
+                i += n;
+            }
+
+            const std::string where = std::string(Cache::kernelName(kernel))
+                + " sets " + std::to_string(sets) + " ways "
+                + std::to_string(assoc);
+            ASSERT_EQ(got, expect) << where;
+            std::uint64_t misses = 0;
+            for (const std::uint8_t hit : expect)
+                misses += hit == 0 ? 1 : 0;
+            EXPECT_EQ(cache.accesses(), addrs.size()) << where;
+            EXPECT_EQ(cache.misses(), misses) << where;
+            EXPECT_EQ(cache.flushes(), flushes) << where;
+            EXPECT_GT(misses, 0u) << where;
+            EXPECT_LT(misses, addrs.size()) << where;
+        }
+    }
+    Cache::setKernel(Cache::bestKernel());
 }
 
 TEST(Cache, MissRateComputation)

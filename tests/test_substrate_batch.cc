@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -126,6 +127,173 @@ TEST(SubstrateBatch, BranchFillMatchesNextForAnyProfile)
         for (std::size_t i = 0; i < expect.size(); ++i) {
             ASSERT_EQ(got[i].pc, expect[i].pc) << "trial " << trial;
             ASSERT_EQ(got[i].taken, expect[i].taken) << "trial " << trial;
+        }
+    }
+}
+
+/**
+ * The address stream's draw order written out over plain Rng calls
+ * (uniformInt(lo, hi), withProbability(p)): the reference the
+ * prepared-range fill must reproduce value for value.
+ */
+std::vector<Addr>
+plainRngAddresses(const MemoryProfile &p, Addr base, std::uint64_t seed,
+                  std::size_t n)
+{
+    Rng rng(seed);
+    const std::uint64_t hot_lines = p.hot_set_bytes / 64;
+    const std::uint64_t cold_lines = p.working_set_bytes / 64;
+    Addr cursor = base;
+    std::vector<Addr> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (p.hot_set_bytes > 0 && rng.withProbability(p.hot_fraction)) {
+            const std::uint64_t pick =
+                hot_lines <= 1 ? 0 : rng.uniformInt(0, hot_lines - 1);
+            out.push_back(base + pick * 64);
+        } else if (rng.withProbability(p.stride_fraction)) {
+            cursor += 64;
+            if (cursor >= base + p.working_set_bytes)
+                cursor = base;
+            out.push_back(cursor);
+        } else {
+            const std::uint64_t pick =
+                cold_lines <= 1 ? 0 : rng.uniformInt(0, cold_lines - 1);
+            out.push_back(base + pick * 64);
+        }
+    }
+    return out;
+}
+
+/** The branch stream's draw order over plain Rng calls. */
+std::vector<BranchOutcome>
+plainRngBranches(const BranchProfile &p, Addr pc_base, std::uint64_t seed,
+                 std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<double> biases;
+    for (std::uint32_t i = 0; i < p.static_branches; ++i)
+        biases.push_back(rng.uniformReal(p.bias_min, p.bias_max));
+    std::vector<BranchOutcome> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t site = rng.uniformInt(0, biases.size() - 1);
+        const bool taken = rng.withProbability(p.pattern_noise)
+            ? rng.withProbability(0.5)
+            : rng.withProbability(biases[site]);
+        out.push_back(BranchOutcome{pc_base + site * 16, taken});
+    }
+    return out;
+}
+
+/** Randomized memory profiles at byte granularity: hot and cold
+ *  regions of 0, 1 or many lines, spans of any shape. */
+MemoryProfile
+randomByteMemoryProfile(Rng &rng)
+{
+    MemoryProfile p;
+    p.hot_set_bytes = rng.uniformInt(0, 3) == 0
+        ? rng.uniformInt(0, 200)
+        : rng.uniformInt(0, 64 * 1024);
+    p.working_set_bytes = rng.uniformInt(
+        std::max<std::uint64_t>(p.hot_set_bytes, 1), 32 * 1024 * 1024);
+    p.hot_fraction = rng.uniformReal();
+    p.stride_fraction = rng.uniformReal();
+    return p;
+}
+
+/** Fill @p stream's @p n values in uneven sub-batches. */
+template <class Stream, class T>
+std::vector<T>
+fillInChunks(Stream &stream, std::size_t n)
+{
+    std::vector<T> got(n);
+    std::size_t off = 0;
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{5},
+                                    std::size_t{96}}) {
+        stream.fill(got.data() + off, chunk);
+        off += chunk;
+    }
+    stream.fill(got.data() + off, n - off);
+    return got;
+}
+
+TEST(SubstrateBatch, AddressFillMatchesPlainRng)
+{
+    std::vector<MemoryProfile> profiles;
+    const auto edge = [&profiles](std::uint64_t hot, std::uint64_t ws,
+                                  double hot_fraction, double stride) {
+        MemoryProfile p;
+        p.hot_set_bytes = hot;
+        p.working_set_bytes = ws;
+        p.hot_fraction = hot_fraction;
+        p.stride_fraction = stride;
+        profiles.push_back(p);
+    };
+    profiles.push_back(MemoryProfile{});
+    edge(8 * 1024, 96 * 1024, 0.0, 0.5);  // never hot
+    edge(8 * 1024, 96 * 1024, 1.0, 0.5);  // always hot
+    edge(6 * 1024, 24 << 20, 0.35, 0.0);  // never sequential
+    edge(6 * 1024, 24 << 20, 0.35, 1.0);  // always sequential
+    edge(64, 4096, 0.5, 0.5);             // one-line hot set
+    edge(63, 4096, 0.5, 0.5);             // hot set under a line
+    edge(0, 4096, 0.5, 0.5);              // no hot set
+    edge(64, 64, 0.5, 0.5);               // one-line working set
+    edge(100, 100, 0.5, 0.0);             // one line, never strides
+    edge(15 * 1024, 2 << 20, 0.86, 0.55); // PARSEC-shaped spans
+    Rng meta(0xA11CE5);
+    for (int i = 0; i < 200; ++i)
+        profiles.push_back(randomByteMemoryProfile(meta));
+
+    for (std::size_t trial = 0; trial < profiles.size(); ++trial) {
+        const MemoryProfile &profile = profiles[trial];
+        const std::uint64_t seed = meta.next();
+        const Addr base = meta.uniformInt(0, 15) << 28;
+        AddressStream stream(profile, base, seed);
+        ASSERT_EQ((fillInChunks<AddressStream, Addr>(stream, 300)),
+                  plainRngAddresses(profile, base, seed, 300))
+            << "profile " << trial;
+    }
+}
+
+TEST(SubstrateBatch, BranchFillMatchesPlainRng)
+{
+    std::vector<BranchProfile> profiles;
+    const auto edge = [&profiles](std::uint32_t sites, double lo,
+                                  double hi, double noise) {
+        BranchProfile p;
+        p.static_branches = sites;
+        p.bias_min = lo;
+        p.bias_max = hi;
+        p.pattern_noise = noise;
+        profiles.push_back(p);
+    };
+    profiles.push_back(BranchProfile{});
+    edge(1, 0.7, 0.98, 0.05);  // a single branch site
+    edge(64, 1.0, 1.0, 0.05);  // bias 1.0: taken without a draw
+    edge(64, 0.0, 0.0, 0.05);  // bias 0.0: not taken without a draw
+    edge(160, 0.7, 0.99, 0.0); // noise 0: never a coin flip
+    edge(160, 0.7, 0.99, 1.0); // noise 1: always a coin flip
+    edge(3, 0.5, 1.0, 0.5);
+    Rng meta(0xB0B5);
+    for (int i = 0; i < 200; ++i) {
+        BranchProfile p = randomBranchProfile(meta);
+        p.bias_min = meta.uniformReal(0.0, 1.0);
+        p.bias_max = meta.uniformReal(p.bias_min, 1.0);
+        p.pattern_noise = meta.uniformReal(0.0, 1.0);
+        profiles.push_back(p);
+    }
+
+    for (std::size_t trial = 0; trial < profiles.size(); ++trial) {
+        const BranchProfile &profile = profiles[trial];
+        const std::uint64_t seed = meta.next();
+        BranchStream stream(profile, 0x40000, seed);
+        const auto got =
+            fillInChunks<BranchStream, BranchOutcome>(stream, 300);
+        const auto expect = plainRngBranches(profile, 0x40000, seed, 300);
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            ASSERT_EQ(got[i].pc, expect[i].pc)
+                << "profile " << trial << " branch " << i;
+            ASSERT_EQ(got[i].taken, expect[i].taken)
+                << "profile " << trial << " branch " << i;
         }
     }
 }

@@ -303,10 +303,12 @@ if [ "${1-}" = "snapshot" ]; then
 fi
 
 # `nosimd` mode: build with the SIMD kernels compiled out and run the
-# suites that pin the cache substrate (SubstrateBatch.* and the Cache
-# unit tests have no ctest label, so select by name), plus the lint
-# gate from the same tree. Keeps the portable fallback — what non-x86
-# hosts and HISS_SIMD=OFF builds actually run — continuously tested.
+# suites that pin the burst-sampling substrate (SubstrateBatch.*, the
+# Cache, Rng and stream unit tests have no ctest label, so select by
+# name), plus the lint gate from the same tree. Keeps the portable
+# fallback — what non-x86 hosts and HISS_SIMD=OFF builds actually run,
+# including the portable probe's victim selection and the IntRange
+# reciprocal — continuously tested.
 run_nosimd() {
     cmake --preset nosimd
     cmake --build --preset nosimd -j "$jobs" \
@@ -314,7 +316,7 @@ run_nosimd() {
     build-nosimd/tools/lint/hiss_lint_selftest --gtest_brief=1
     build-nosimd/tools/lint/hiss_lint --root .
     ctest --test-dir build-nosimd --output-on-failure -j "$jobs" \
-        -R 'SubstrateBatch|Cache'
+        -R 'SubstrateBatch|Cache|Rng|AddressStream|BranchStream'
     echo "ci: nosimd leg passed"
 }
 if [ "${1-}" = "nosimd" ]; then
