@@ -448,6 +448,34 @@ BM_IommuTranslateBatch(benchmark::State &state)
 }
 BENCHMARK(BM_IommuTranslateBatch);
 
+/**
+ * The pinned GPU streaming pattern: every translate is a fresh,
+ * sequential VPN (allow_fault = false, as in the no-SSR baselines),
+ * and the IOTLB starts full, so each one misses, walks, and evicts
+ * the FIFO head. Measures probe + insert + backward-shift erase plus
+ * event scheduling. Not gated. Items = translations completed.
+ */
+void
+BM_IommuTranslateStreaming(benchmark::State &state)
+{
+    IommuBench bench;
+    std::uint64_t done = 0;
+    hiss::Vpn next = hiss::Vpn{1} << 20;
+    for (auto _ : state) {
+        for (hiss::Vpn v = 0; v < IommuBench::kVpns; ++v)
+            bench.iommu().translate(
+                next++, [&done](hiss::TranslateResult) { ++done; },
+                /*allow_fault=*/false);
+        bench.events().runUntil(bench.events().now()
+                                + hiss::usToTicks(2));
+    }
+    benchmark::DoNotOptimize(done);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(IommuBench::kVpns)
+        * state.iterations());
+}
+BENCHMARK(BM_IommuTranslateStreaming);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -26,14 +26,21 @@ Iommu::Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params)
         fatal("Iommu: coalescing enabled with zero window");
     if (params.iotlb_entries == 0)
         fatal("Iommu: iotlb_entries must be positive");
+    if (params.iotlb_entries > IommuParams::kMaxIotlbEntries)
+        fatal("Iommu: iotlb_entries %u exceeds the maximum %u",
+              params.iotlb_entries, IommuParams::kMaxIotlbEntries);
     // Probe table: power of two >= 2x capacity, so the load factor
     // stays <= 1/2 and linear-probe chains stay short.
     std::uint32_t slots = 8;
-    while (slots < params.iotlb_entries * 2)
+    std::uint32_t log2_slots = 3;
+    while (slots < params.iotlb_entries * 2) {
         slots *= 2;
+        ++log2_slots;
+    }
     iotlb_slots_.assign(slots, 0);
     iotlb_ring_.assign(params.iotlb_entries, 0);
     iotlb_mask_ = slots - 1;
+    iotlb_shift_ = 64 - log2_slots;
     stats().addFormula("iommu.pprs", "peripheral page requests issued",
                        [this] {
                            return static_cast<double>(pprs_issued_);
@@ -74,13 +81,13 @@ Iommu::Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params)
 std::uint32_t
 Iommu::iotlbSlot(Vpn vpn) const
 {
-    // splitmix64 finalizer: cheap, and VPNs are near-sequential per
-    // launch generation, which raw masking would cluster badly.
-    std::uint64_t x = vpn + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::uint32_t>(x) & iotlb_mask_;
+    // Fibonacci hashing: the top log2(slots) bits of vpn * 2^64/phi.
+    // A launch generation issues near-sequential VPNs, and consecutive
+    // multiples of the golden ratio land at maximal spacing around the
+    // table, so streaming keys probe about one slot each for a single
+    // multiply.
+    return static_cast<std::uint32_t>((vpn * 0x9e3779b97f4a7c15ULL)
+                                      >> iotlb_shift_);
 }
 
 bool
@@ -120,8 +127,8 @@ Iommu::eraseIotlb(Vpn vpn)
     iotlb_slots_[hole] = 0;
 }
 
-void
-Iommu::insertIotlb(Vpn vpn)
+bool
+Iommu::placeIotlb(Vpn vpn)
 {
     // One probe pass does both the presence check and the slot
     // search (the old list + map shape re-hashed the key for each).
@@ -129,12 +136,21 @@ Iommu::insertIotlb(Vpn vpn)
     std::uint32_t i = iotlbSlot(vpn);
     while (iotlb_slots_[i] != 0) {
         if (iotlb_slots_[i] == code)
-            return; // Already resident (duplicate in-flight faults).
+            return false;
         i = (i + 1) & iotlb_mask_;
     }
-    // Install before evicting: the backward shift below may reuse
-    // slot i, but never breaks the chain of an already-stored entry.
     iotlb_slots_[i] = code;
+    return true;
+}
+
+void
+Iommu::insertIotlb(Vpn vpn)
+{
+    if (!placeIotlb(vpn))
+        return; // Already resident (duplicate in-flight faults).
+    // Installed before evicting: the backward shift below may reuse
+    // the new slot, but never breaks the chain of an already-stored
+    // entry.
     if (iotlb_size_ == params_.iotlb_entries) {
         // Full: FIFO eviction — drop the oldest entry and reuse its
         // ring slot for the newcomer.
@@ -534,11 +550,8 @@ void
 Iommu::snapSave(snap::Writer &w) const
 {
     w.section("iommu");
-    // The probe table layout depends on insertion order, so the
-    // IOTLB arrays are written verbatim rather than re-inserted.
-    w.u64(iotlb_slots_.size());
-    for (const Vpn v : iotlb_slots_)
-        w.u64(v);
+    // Only the FIFO ring is IOTLB state; snapRestore rebuilds the
+    // probe table from it, so the format does not depend on the hash.
     w.u64(iotlb_ring_.size());
     for (const Vpn v : iotlb_ring_)
         w.u64(v);
@@ -581,16 +594,23 @@ void
 Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
 {
     r.section("iommu");
-    if (r.u64() != iotlb_slots_.size())
-        throw snap::SnapshotError("IOTLB probe-table size mismatch");
-    for (Vpn &v : iotlb_slots_)
-        v = r.u64();
     if (r.u64() != iotlb_ring_.size())
         throw snap::SnapshotError("IOTLB capacity mismatch");
     for (Vpn &v : iotlb_ring_)
         v = r.u64();
     iotlb_head_ = r.u32();
     iotlb_size_ = r.u32();
+    if (iotlb_head_ >= params_.iotlb_entries
+        || iotlb_size_ > params_.iotlb_entries)
+        throw snap::SnapshotError("IOTLB ring cursor out of range");
+    // Rebuild the probe table by re-inserting the resident VPNs in
+    // FIFO order. Its layout may differ from the saved run's, but
+    // lookups depend only on which VPNs are resident.
+    std::fill(iotlb_slots_.begin(), iotlb_slots_.end(), Vpn{0});
+    for (std::uint32_t k = 0, at = iotlb_head_; k < iotlb_size_; ++k) {
+        placeIotlb(iotlb_ring_[at]);
+        at = at + 1 == params_.iotlb_entries ? 0 : at + 1;
+    }
     ppr_queue_.clear();
     const std::uint64_t queued = r.u64();
     for (std::uint64_t i = 0; i < queued; ++i) {
@@ -636,8 +656,6 @@ std::uint64_t
 Iommu::stateHash() const
 {
     snap::Hash64 h;
-    for (const Vpn v : iotlb_slots_)
-        h.mix(v);
     for (const Vpn v : iotlb_ring_)
         h.mix(v);
     h.mix(iotlb_head_);

@@ -65,8 +65,13 @@ struct IommuParams
     Tick iotlb_hit_latency = 20;
     /** Page-table walk latency on IOTLB miss (hardware walker). */
     Tick walk_latency = 250;
-    /** IOTLB capacity in entries (FIFO replacement). */
+    /** IOTLB capacity in entries (FIFO replacement); at most
+     *  kMaxIotlbEntries. */
     std::uint32_t iotlb_entries = 64;
+    /** Largest accepted iotlb_entries. Hardware IOTLBs hold tens to
+     *  hundreds of entries; the bound keeps the probe-table sizing
+     *  (2x capacity, rounded up to a power of two) within 32 bits. */
+    static constexpr std::uint32_t kMaxIotlbEntries = 1u << 20;
 
     /** MSI delivery latency to the target core. */
     Tick msi_latency = 150;
@@ -169,10 +174,12 @@ class Iommu : public SimObject, public RequestSource
 
     /// @name Snapshot support.
     /// @{
-    /** Serialize the IOTLB (verbatim layout), unsent PPR queue,
-     *  coalescing/MSI state, in-flight batch ledger, and counters. */
+    /** Serialize the IOTLB's FIFO ring, unsent PPR queue,
+     *  coalescing/MSI state, in-flight batch ledger, and counters.
+     *  The IOTLB probe table is derived state and is not written. */
     void snapSave(snap::Writer &w) const;
-    /** Mirror of snapSave; @p resolver rebuilds device callbacks. */
+    /** Mirror of snapSave; rebuilds the IOTLB probe table from the
+     *  ring. @p resolver rebuilds device callbacks. */
     void snapRestore(snap::Reader &r, const CallbackResolver &resolver);
     /** Re-attach this IOMMU's service callbacks to a restored PPR. */
     void rebuildRequestCallbacks(SsrRequest &request,
@@ -203,6 +210,8 @@ class Iommu : public SimObject, public RequestSource
     };
 
     std::uint32_t iotlbSlot(Vpn vpn) const;
+    /** Install @p vpn in the probe table only; false if resident. */
+    bool placeIotlb(Vpn vpn);
     void insertIotlb(Vpn vpn);
     void eraseIotlb(Vpn vpn);
     bool iotlbContains(Vpn vpn) const;
@@ -228,17 +237,25 @@ class Iommu : public SimObject, public RequestSource
     SsrDriver *driver_ = nullptr;
 
     // IOTLB: FIFO-replacement set of recently used translations,
-    // stored flat. iotlb_slots_ is a power-of-two open-addressed
-    // probe table (linear probing, backward-shift deletion, load
-    // factor <= 1/2) holding vpn + 1 codes with 0 marking an empty
-    // slot; iotlb_ring_ holds the resident VPNs in insertion order
-    // with iotlb_head_ as the next-victim cursor, so FIFO eviction
-    // is one array read instead of a list pop.
+    // stored flat. iotlb_ring_ holds the resident VPNs in insertion
+    // order with iotlb_head_ as the next-victim cursor, so FIFO
+    // eviction is one array read instead of a list pop; the ring,
+    // head and size are the IOTLB's whole state. iotlb_slots_ is a
+    // membership index over the ring: a power-of-two open-addressed
+    // probe table (Fibonacci hash, linear probing, backward-shift
+    // deletion, load factor <= 1/2) holding vpn + 1 codes with 0
+    // marking an empty slot.
+    // HISS_STATE_EXEMPT(iotlb_slots_, save hash): derived index over
+    // iotlb_ring_; lookups depend only on which VPNs are resident, and
+    // snapRestore rebuilds it by re-inserting the ring in FIFO order
     std::vector<Vpn> iotlb_slots_;
     std::vector<Vpn> iotlb_ring_;
     // HISS_STATE_EXEMPT(iotlb_mask_): derived geometry (slot count - 1),
     // recomputed from params at construction
     std::uint32_t iotlb_mask_ = 0;
+    // HISS_STATE_EXEMPT(iotlb_shift_): derived geometry (64 - log2 of
+    // the slot count), recomputed from params at construction
+    std::uint32_t iotlb_shift_ = 0;
     std::uint32_t iotlb_head_ = 0;
     std::uint32_t iotlb_size_ = 0;
 

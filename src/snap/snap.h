@@ -44,8 +44,9 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Snapshot format version; bump on any layout change. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+/** Snapshot format version; bump on any layout change (v2: the IOMMU
+ *  section carries the IOTLB FIFO ring only, not its probe table). */
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /** File magic ("HISSNAP" + format epoch). */
 inline constexpr char kMagic[8] = {'H', 'I', 'S', 'S', 'N', 'A', 'P', '1'};

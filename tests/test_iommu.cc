@@ -4,6 +4,7 @@
 
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -414,11 +415,138 @@ TEST_F(IommuTest, FlatIotlbMatchesReferenceFifoModel)
     EXPECT_GT(expect_misses, params.iotlb_entries);
 }
 
+/**
+ * The same contract on the access pattern the GPU actually issues:
+ * pinned translates of sequential VPNs from GPU-shaped bases (a
+ * 1 << 20 base plus 1 << 26 generation jumps), two device streams
+ * 1 << 40 apart interleaved, short-distance re-touches that hit, and
+ * duplicate translates in flight (the dedupe path of the insert).
+ * Midway, with the IOTLB full and its ring wrapped, the IOMMU is
+ * snapshotted into a twin; from then on both must produce the
+ * reference hit/miss sequence and the same stateHash.
+ */
+TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
+{
+    struct Op
+    {
+        Vpn vpn = 0;
+        bool duplicate = false; // a second translate in flight
+    };
+    for (const std::uint32_t capacity : {1u, 3u, 8u, 64u, 100u}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        std::vector<Op> ops;
+        for (Vpn gen = 0; gen < 3; ++gen) {
+            const Vpn base = (Vpn{1} << 20) + gen * (Vpn{1} << 26);
+            for (Vpn i = 0; i < capacity + 40; ++i) {
+                for (const Vpn stream : {Vpn{0}, Vpn{1} << 40})
+                    ops.push_back({stream + base + i, i % 7 == 3});
+                if (i % 3 == 1) // the newest entry: a hit at any size
+                    ops.push_back({(Vpn{1} << 40) + base + i, false});
+                if (i >= 1)
+                    ops.push_back({base + i - 1, false});
+                if (i % 5 == 0 && i >= capacity)
+                    ops.push_back({(Vpn{1} << 40) + base + i - capacity,
+                                   false});
+            }
+        }
+        const std::size_t snap_at = ops.size() / 2;
+
+        // Reference model: the seed's std::list + hash-set FIFO, with
+        // the probe and the insert split as in the device (the insert
+        // lands after the walk, and a resident VPN is not re-added).
+        std::list<Vpn> ref_fifo;
+        std::unordered_set<Vpn> ref_set;
+        const auto ref_insert = [&](Vpn vpn) {
+            if (ref_set.count(vpn) > 0)
+                return;
+            if (ref_fifo.size() >= capacity) {
+                ref_set.erase(ref_fifo.front());
+                ref_fifo.pop_front();
+            }
+            ref_fifo.push_back(vpn);
+            ref_set.insert(vpn);
+        };
+
+        IommuParams params;
+        params.iotlb_entries = capacity;
+        BatchHarness live(params);
+        std::unique_ptr<BatchHarness> twin;
+        std::uint64_t expect_hits = 0;
+        std::uint64_t expect_misses = 0;
+        std::uint64_t inserts = 0;
+        const auto issue = [](BatchHarness &h, const Op &op) {
+            for (int k = 0; k < (op.duplicate ? 2 : 1); ++k)
+                h.iommu->translate(op.vpn, [](TranslateResult) {},
+                                   /*allow_fault=*/false);
+            // Quiesce so the inserts land before the next probe.
+            h.events.runUntil(h.events.now() + usToTicks(2));
+        };
+        for (std::size_t n = 0; n < ops.size(); ++n) {
+            const Op &op = ops[n];
+            if (n == snap_at) {
+                ASSERT_EQ(ref_fifo.size(), capacity);
+                ASSERT_GT(inserts, 2u * capacity); // ring has wrapped
+                snap::Writer w;
+                live.iommu->snapSave(w);
+                twin = std::make_unique<BatchHarness>(params);
+                snap::Reader r(w.buffer());
+                twin->iommu->snapRestore(r, [](const snap::Token &) {
+                    return Iommu::TranslateCallback{};
+                });
+                ASSERT_TRUE(r.atEnd());
+                ASSERT_EQ(twin->iommu->stateHash(),
+                          live.iommu->stateHash());
+                // Every resident VPN hits in both; hits leave the FIFO
+                // as it is, so the streams stay aligned.
+                for (const Vpn vpn : ref_fifo) {
+                    ++expect_hits;
+                    issue(live, {vpn, false});
+                    issue(*twin, {vpn, false});
+                }
+                ASSERT_EQ(live.iommu->iotlbHits(), expect_hits);
+                ASSERT_EQ(twin->iommu->iotlbHits(), expect_hits);
+            }
+            const bool hit = ref_set.count(op.vpn) > 0;
+            const std::uint64_t probes = op.duplicate ? 2 : 1;
+            (hit ? expect_hits : expect_misses) += probes;
+            if (!hit) {
+                for (std::uint64_t k = 0; k < probes; ++k)
+                    ref_insert(op.vpn);
+                ++inserts;
+            }
+            issue(live, op);
+            ASSERT_EQ(live.iommu->iotlbHits(), expect_hits) << "op " << n;
+            ASSERT_EQ(live.iommu->iotlbMisses(), expect_misses)
+                << "op " << n;
+            if (twin != nullptr) {
+                issue(*twin, op);
+                ASSERT_EQ(twin->iommu->iotlbHits(), expect_hits)
+                    << "twin op " << n;
+                ASSERT_EQ(twin->iommu->iotlbMisses(), expect_misses)
+                    << "twin op " << n;
+            }
+        }
+        ASSERT_NE(twin, nullptr);
+        EXPECT_EQ(twin->iommu->stateHash(), live.iommu->stateHash());
+        EXPECT_GT(expect_hits, 0u);
+        EXPECT_GT(expect_misses, 4u * capacity);
+    }
+}
+
 TEST_F(IommuTest, ZeroIotlbEntriesRejected)
 {
     IommuParams params;
     params.iotlb_entries = 0;
     EXPECT_THROW(build(params), FatalError);
+    // Oversized capacities are rejected before anything is allocated:
+    // above 2^30 the probe table's 2x sizing would wrap a uint32_t.
+    // A fresh stack per value, so no stat re-registration can throw.
+    for (const std::uint32_t entries :
+         {IommuParams::kMaxIotlbEntries + 1, 0x40000001u, 0x80000000u,
+          0xFFFFFFFFu}) {
+        params.iotlb_entries = entries;
+        EXPECT_THROW(BatchHarness{params}, FatalError) << entries;
+    }
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/system.h"
 #include "sim/logging.h"
@@ -29,7 +32,12 @@ class TracingTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "hiss_trace_test.json";
+        // One file per case and process: ctest runs each case in its
+        // own process, possibly concurrently, and every TearDown
+        // removes its file.
+        path_ = ::testing::TempDir() + "hiss_trace_test."
+            + ::testing::UnitTest::GetInstance()->current_test_info()->name()
+            + "." + std::to_string(::getpid()) + ".json";
     }
     void TearDown() override { std::remove(path_.c_str()); }
 

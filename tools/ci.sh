@@ -33,7 +33,8 @@
 #                                      snapshot must produce byte-
 #                                      identical stats to the cold
 #                                      run, with and without fault
-#                                      injection; first divergence
+#                                      injection, and on a pinned
+#                                      run; first divergence
 #                                      reported by tools/trace_diff)
 #        tools/ci.sh nosimd           (portable-kernel leg: build with
 #                                      HISS_SIMD=OFF, run the lint gate
@@ -241,9 +242,11 @@ fi
 # `snapshot` mode: end-to-end restore fidelity through the CLI. A
 # run restored from a mid-warmup snapshot must produce byte-identical
 # stats/CSV dumps and stdout (modulo wall-clock and snapshot progress
-# lines) to the cold run that never stopped. Exercised twice: clean,
-# and with the full fault-injection schedule armed (watchdogs, loss
-# ledger, RNG-driven IRQ fates all cross the snapshot boundary).
+# lines) to the cold run that never stopped. Exercised three times:
+# clean; with the full fault-injection schedule armed (watchdogs, loss
+# ledger, RNG-driven IRQ fates all cross the snapshot boundary); and
+# pinned, where the IOTLB is full and evicting on every translate at
+# the cut, so the probe table rebuilt on restore is checked end to end.
 run_snapshot() {
     cmake --preset default
     cmake --build --preset default -j "$jobs" \
@@ -257,10 +260,13 @@ run_snapshot() {
     local faulty="$base --fault-drop-irq 0.2 --fault-dup-irq 0.15 \
 --fault-delay-irq 0.2 --fault-delay-ipi 0.1 --fault-stall-kworker 0.1 \
 --fault-lose-signal 0.1 --fault-timeout 150 --fault-retries 4"
+    local pinned="--cpu canneal --gpu ubench --no-demand-paging \
+--loop-gpu --duration 30 --seed 9"
     local leg flags
-    for leg in clean fault; do
+    for leg in clean fault pinned; do
         flags="$base"
         [ "$leg" = fault ] && flags="$faulty"
+        [ "$leg" = pinned ] && flags="$pinned"
         # shellcheck disable=SC2086
         $sim $flags --stats "$tmpdir/$leg.cold.stats" \
             --csv "$tmpdir/$leg.cold.csv" > "$tmpdir/$leg.cold.out"

@@ -30,6 +30,7 @@
 #include "core/hiss.h"
 #include "sim/logging.h"
 #include "sim/tracing.h"
+#include "snap/snap.h"
 
 namespace {
 
@@ -681,6 +682,12 @@ main(int argc, char **argv)
         // violation or fatal() — can be reproduced verbatim.
         std::fprintf(stderr, "hiss_sim: %s (seed %llu)\n", e.what(),
                      static_cast<unsigned long long>(opt.seed));
+        return 1;
+    } catch (const snap::SnapshotError &e) {
+        // --snapshot-load/--snapshot-save I/O: a missing, truncated,
+        // corrupt or wrong-version file, or an unwritable path.
+        std::fprintf(stderr, "hiss_sim: %s (seed %llu)\n",
+                     e.what(), static_cast<unsigned long long>(opt.seed));
         return 1;
     }
 }

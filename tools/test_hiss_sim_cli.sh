@@ -83,6 +83,40 @@ expect_clean_error "negative --fault-timeout" \
 expect_clean_error "missing --fault-retries value" \
     "$sim" --gpu ubench --fault-retries
 
+# Snapshot I/O: a missing, garbage or wrong-version --snapshot-load
+# file and an unwritable --snapshot-save path are diagnosed, not
+# thrown out of main.
+snapdir=$(mktemp -d)
+trap 'rm -rf "$snapdir"' EXIT
+printf 'garbage' > "$snapdir/garbage.hsnap"
+expect_clean_error "missing --snapshot-load file" \
+    "$sim" --gpu ubench --duration 0.2 \
+    --snapshot-load "$snapdir/missing.hsnap"
+expect_clean_error "7-byte garbage --snapshot-load file" \
+    "$sim" --gpu ubench --duration 0.2 \
+    --snapshot-load "$snapdir/garbage.hsnap"
+expect_clean_error "--snapshot-save into a missing directory" \
+    "$sim" --gpu ubench --duration 0.2 \
+    --snapshot-save "$snapdir/no/such/dir/out.hsnap"
+# A snapshot stamped with an older format version (the u32 right
+# after the 8-byte magic) is refused by name.
+expect_exit0 "tiny snapshot save" \
+    "$sim" --gpu ubench --duration 0.2 \
+    --snapshot-save "$snapdir/v1.hsnap"
+printf '\001' | dd of="$snapdir/v1.hsnap" bs=1 seek=8 count=1 \
+    conv=notrunc 2> /dev/null
+expect_clean_error "format-version-1 --snapshot-load file" \
+    "$sim" --gpu ubench --duration 0.2 \
+    --snapshot-load "$snapdir/v1.hsnap"
+if "$sim" --gpu ubench --duration 0.2 \
+        --snapshot-load "$snapdir/v1.hsnap" 2>&1 \
+        | grep -q "format version 1 unsupported"; then
+    note "ok: the version-1 refusal names the format version"
+else
+    note "FAIL: the version-1 refusal does not name the format version"
+    failures=$((failures + 1))
+fi
+
 if [ "$failures" -ne 0 ]; then
     note "$failures CLI contract check(s) failed"
     exit 1
