@@ -364,6 +364,20 @@ BM_FreshBurstSampleBatch(benchmark::State &state, const char *app)
 BENCHMARK_CAPTURE(BM_FreshBurstSampleBatch, canneal, "canneal");
 BENCHMARK_CAPTURE(BM_FreshBurstSampleBatch, x264, "x264");
 
+/** Counts the translations the IOMMU hands back. */
+struct CountingClient : hiss::TranslateClient
+{
+    void
+    translated(const hiss::snap::Token &, hiss::TranslateResult) override
+    {
+        ++done;
+    }
+    std::uint64_t done = 0;
+};
+
+/** Completion token of every benchmark translation (device 0). */
+constexpr hiss::snap::Token kBenchToken{"bench.xlate"};
+
 /**
  * IOTLB-hit translate throughput through the event queue, scalar vs
  * translateBatch. The IOTLB is pre-warmed with every probed VPN, so
@@ -384,11 +398,12 @@ class IommuBench
           }()),
           iommu_(ctx_, kernel_, hiss::IommuParams{})
     {
+        iommu_.attachClient(0, client_);
         for (hiss::Vpn v = 0; v < kVpns; ++v)
             kernel_.gpuPageTable().map(v, v + 100);
         // Warm: one walk per VPN installs it in the IOTLB.
         for (hiss::Vpn v = 0; v < kVpns; ++v) {
-            iommu_.translate(v, [](hiss::TranslateResult) {});
+            iommu_.translate(v, kBenchToken);
             events_.runUntil(events_.now() + hiss::usToTicks(2));
         }
     }
@@ -397,6 +412,7 @@ class IommuBench
 
     hiss::Iommu &iommu() { return iommu_; }
     hiss::EventQueue &events() { return events_; }
+    std::uint64_t done() const { return client_.done; }
 
   private:
     hiss::EventQueue events_;
@@ -404,21 +420,20 @@ class IommuBench
     hiss::SimContext ctx_;
     hiss::Kernel kernel_;
     hiss::Iommu iommu_;
+    CountingClient client_;
 };
 
 void
 BM_IommuTranslateScalar(benchmark::State &state)
 {
     IommuBench bench;
-    std::uint64_t done = 0;
     for (auto _ : state) {
         for (hiss::Vpn v = 0; v < IommuBench::kVpns; ++v)
-            bench.iommu().translate(
-                v, [&done](hiss::TranslateResult) { ++done; });
+            bench.iommu().translate(v, kBenchToken);
         bench.events().runUntil(bench.events().now()
                                 + hiss::usToTicks(2));
     }
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(bench.done());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(IommuBench::kVpns)
         * state.iterations());
@@ -429,19 +444,17 @@ void
 BM_IommuTranslateBatch(benchmark::State &state)
 {
     IommuBench bench;
-    std::uint64_t done = 0;
     std::vector<hiss::Iommu::TranslateRequest> reqs;
     for (auto _ : state) {
         reqs.clear();
         for (hiss::Vpn v = 0; v < IommuBench::kVpns; ++v)
-            reqs.push_back(
-                {v, [&done](hiss::TranslateResult) { ++done; }, {}});
+            reqs.push_back({v, kBenchToken});
         bench.iommu().translateBatch(std::move(reqs));
         reqs.clear();
         bench.events().runUntil(bench.events().now()
                                 + hiss::usToTicks(2));
     }
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(bench.done());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(IommuBench::kVpns)
         * state.iterations());
@@ -459,17 +472,15 @@ void
 BM_IommuTranslateStreaming(benchmark::State &state)
 {
     IommuBench bench;
-    std::uint64_t done = 0;
     hiss::Vpn next = hiss::Vpn{1} << 20;
     for (auto _ : state) {
         for (hiss::Vpn v = 0; v < IommuBench::kVpns; ++v)
-            bench.iommu().translate(
-                next++, [&done](hiss::TranslateResult) { ++done; },
-                /*allow_fault=*/false);
+            bench.iommu().translate(next++, kBenchToken,
+                                    /*allow_fault=*/false);
         bench.events().runUntil(bench.events().now()
                                 + hiss::usToTicks(2));
     }
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(bench.done());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(IommuBench::kVpns)
         * state.iterations());

@@ -34,19 +34,34 @@ main()
     // A GPU kernel that completes work items and signals the host
     // about each batch (producer/consumer notification), modeled by
     // firing signals on a timer while the CPU app runs.
-    std::uint64_t delivered = 0;
-    Tick latency_sum = 0;
-    std::function<void()> fire = [&] {
-        const Tick sent_at = sys.now();
-        sys.signalQueue().sendSignal(
-            [&, sent_at](CpuCore &) {
-                ++delivered;
-                latency_sum += sys.now() - sent_at;
-            });
-        if (!app.done())
-            sys.events().scheduleAfter(usToTicks(50), fire);
+    struct Tally
+    {
+        HeteroSystem &sys;
+        CpuApp &app;
+        std::uint64_t delivered = 0;
+        Tick latency_sum = 0;
+    } tally{sys, app};
+    // Re-arms itself every 50 us until the app finishes; a plain
+    // callable event holds at most 24 trivially copyable bytes, so it
+    // carries one pointer to the shared tally.
+    struct SendBatch
+    {
+        Tally *tally;
+        void
+        operator()() const
+        {
+            Tally &t = *tally;
+            const Tick sent_at = t.sys.now();
+            t.sys.signalQueue().sendSignal(
+                [&t, sent_at](CpuCore &) {
+                    ++t.delivered;
+                    t.latency_sum += t.sys.now() - sent_at;
+                });
+            if (!t.app.done())
+                t.sys.events().scheduleAfter(usToTicks(50), *this);
+        }
     };
-    sys.events().scheduleAfter(usToTicks(50), fire);
+    sys.events().scheduleAfter(usToTicks(50), SendBatch{&tally});
 
     sys.runUntilCondition([&app] { return app.done(); },
                           msToTicks(500));
@@ -57,11 +72,11 @@ main()
     std::printf("signals sent / delivered   : %8llu / %llu\n",
                 static_cast<unsigned long long>(
                     sys.signalQueue().signalsSent()),
-                static_cast<unsigned long long>(delivered));
+                static_cast<unsigned long long>(tally.delivered));
     std::printf("mean delivery latency      : %8.2f us\n",
-                delivered > 0
-                    ? ticksToUs(latency_sum)
-                          / static_cast<double>(delivered)
+                tally.delivered > 0
+                    ? ticksToUs(tally.latency_sum)
+                          / static_cast<double>(tally.delivered)
                     : 0.0);
     std::printf("signal-driver interrupts   : %8llu\n",
                 static_cast<unsigned long long>(

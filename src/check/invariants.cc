@@ -10,7 +10,7 @@ namespace check {
 
 InvariantMonitor::InvariantMonitor(SimContext &ctx, HeteroSystem &sys,
                                    Tick period)
-    : SimObject(ctx, "check"), sys_(sys), period_(period)
+    : SimObject(ctx, "check", kSiteKinds), sys_(sys), period_(period)
 {
     if (period_ == 0)
         fatal("InvariantMonitor: zero check period");
@@ -63,11 +63,16 @@ InvariantMonitor::scheduleSweep()
     // Stats priority: the sweep observes settled state after all
     // same-tick model activity. The event is read-only and draws no
     // randomness, so it cannot perturb simulation results.
-    scheduleAfter(period_, [this] {
-        sweepNow();
-        ++sweeps_;
-        scheduleSweep();
-    }, EventPriority::Stats);
+    scheduleAfter(period_, EventPriority::Stats, kSweep);
+}
+
+void
+InvariantMonitor::fire(const snap::Tag &)
+{
+    // kSweep, the only site.
+    sweepNow();
+    ++sweeps_;
+    scheduleSweep();
 }
 
 void

@@ -63,6 +63,10 @@ class InvariantError : public FatalError
 class InvariantMonitor final : public SimObject, public CheckHooks
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kSweep };
+    static constexpr const char *kSiteKinds[] = {"check.sweep"};
+
     /**
      * Registers the system's SSR chains and schedules the first
      * sweep. The monitor must be constructed before any events run
@@ -88,6 +92,8 @@ class InvariantMonitor final : public SimObject, public CheckHooks
      * @throws InvariantError on the first violation.
      */
     void sweepNow();
+
+    void fire(const snap::Tag &tag) override;
 
     /** Completed sweeps so far. */
     std::uint64_t sweeps() const { return sweeps_; }

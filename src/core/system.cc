@@ -1,7 +1,5 @@
 #include "core/system.h"
 
-#include <cstring>
-
 #include "check/invariants.h"
 #include "sim/logging.h"
 #include "snap/access.h"
@@ -84,18 +82,6 @@ HeteroSystem::finalizeStats()
     kernel_->finalizeStats();
 }
 
-namespace {
-
-/** True when @p kind starts with @p prefix ("iommu.", "gpu.", ...). */
-bool
-kindHasPrefix(const char *kind, const char *prefix)
-{
-    return kind != nullptr
-           && std::strncmp(kind, prefix, std::strlen(prefix)) == 0;
-}
-
-} // namespace
-
 std::uint64_t
 HeteroSystem::configFingerprint() const
 {
@@ -146,9 +132,8 @@ HeteroSystem::saveSnapshot(snap::Writer &w) const
     for (const auto &app : apps_)
         app->snapSave(w);
     snap::Access::save(w, stats_);
-    // The event queue goes last: restoring it re-arms callbacks that
-    // capture component state, so the components must already be in
-    // their snapshot state when the tags are resolved.
+    // The event queue goes last, after every component its events
+    // name.
     events_.saveState(w);
 }
 
@@ -168,7 +153,7 @@ HeteroSystem::restoreSnapshot(snap::Reader &r)
     if (faults_ != nullptr)
         faults_->snapRestore(r);
     kernel_->snapRestore(r, requestRebuild());
-    iommu_->snapRestore(r, callbackResolver());
+    iommu_->snapRestore(r);
     signal_queue_->snapRestore(r);
     gpu_->snapRestore(r);
     if (r.u64() != extra_gpus_.size())
@@ -184,8 +169,24 @@ HeteroSystem::restoreSnapshot(snap::Reader &r)
     for (const auto &app : apps_)
         app->snapRestore(r);
     snap::Access::restore(r, stats_);
-    events_.restoreState(
-        r, [this](const snap::Tag &tag) { return resolveTag(tag); });
+    events_.restoreState(r, eventTargets());
+}
+
+std::vector<EventTarget *>
+HeteroSystem::eventTargets()
+{
+    std::vector<EventTarget *> targets{kernel_.get(),
+                                       &kernel_->scheduler()};
+    for (int i = 0; i < kernel_->numCores(); ++i)
+        targets.push_back(&kernel_->core(i));
+    for (const auto &driver : kernel_->drivers())
+        targets.push_back(driver.get());
+    targets.push_back(iommu_.get());
+    targets.push_back(signal_queue_.get());
+    targets.push_back(gpu_.get());
+    for (const auto &gpu : extra_gpus_)
+        targets.push_back(gpu.get());
+    return targets;
 }
 
 std::string
@@ -239,43 +240,13 @@ HeteroSystem::stateHash() const
     return h.value();
 }
 
-Gpu &
-HeteroSystem::gpuByDevice(std::uint64_t id)
-{
-    if (id == 0)
-        return *gpu_;
-    if (id - 1 >= extra_gpus_.size())
-        throw snap::SnapshotError(
-            "snapshot references accelerator device id "
-            + std::to_string(id) + " but only "
-            + std::to_string(extra_gpus_.size())
-            + " extra accelerators exist");
-    return *extra_gpus_[id - 1];
-}
-
-Iommu::CallbackResolver
-HeteroSystem::callbackResolver()
-{
-    return [this](const snap::Token &token) -> Iommu::TranslateCallback {
-        if (token.empty())
-            throw snap::SnapshotError(
-                "pending translation has no completion-callback "
-                "token; it cannot cross a snapshot boundary");
-        if (token.is("gpu.xlate"))
-            return gpuByDevice(token.a).rebuildTranslateCallback(token);
-        throw snap::SnapshotError(
-            std::string("unknown translate-callback token '")
-            + token.kind + "'");
-    };
-}
-
 RequestRebuild
 HeteroSystem::requestRebuild()
 {
     return [this](SsrRequest &request) {
         const snap::Token &origin = request.origin.self;
         if (origin.is("iommu.ppr")) {
-            iommu_->rebuildRequestCallbacks(request, callbackResolver());
+            iommu_->rebuildRequestCallbacks(request);
             return;
         }
         if (origin.is("sig.req")) {
@@ -288,21 +259,6 @@ HeteroSystem::requestRebuild()
             + " has unknown origin tag '"
             + (origin.kind != nullptr ? origin.kind : "") + "'");
     };
-}
-
-EventQueue::Callback
-HeteroSystem::resolveTag(const snap::Tag &tag)
-{
-    const char *kind = tag.self.kind;
-    if (kindHasPrefix(kind, "iommu."))
-        return iommu_->rebuildEvent(tag, callbackResolver());
-    if (kindHasPrefix(kind, "gpu."))
-        return gpuByDevice(tag.self.a).rebuildEvent(tag);
-    if (kindHasPrefix(kind, "sig."))
-        return signal_queue_->rebuildEvent(tag);
-    // kernel. / sched. / drv. / core. — the kernel dispatches and
-    // throws on anything it does not recognize.
-    return kernel_->rebuildEvent(tag);
 }
 
 bool

@@ -141,6 +141,9 @@ class HeteroSystem
      * trace_diff to locate divergences.
      */
     std::uint64_t stateHash() const;
+    /** Every component that schedules events: the targets a restore
+     *  maps saved event target names back to. */
+    std::vector<EventTarget *> eventTargets();
     /**
      * Digest of everything structural: config description, seed,
      * fault plan label, workload shape, and the registered stat
@@ -150,14 +153,8 @@ class HeteroSystem
     /// @}
 
   private:
-    /** The GPU with device id @p id (0 = primary). */
-    Gpu &gpuByDevice(std::uint64_t id);
-    /** Resolver handed to the IOMMU for device callback rebuild. */
-    Iommu::CallbackResolver callbackResolver();
     /** Rebuilds SsrRequest callbacks from the request's origin tag. */
     RequestRebuild requestRebuild();
-    /** Composite event-tag resolver covering every subsystem. */
-    EventQueue::Callback resolveTag(const snap::Tag &tag);
 
     // HISS_STATE_EXEMPT(config_): construction config; snapshots carry
     // its fingerprint and restore refuses a mismatched system

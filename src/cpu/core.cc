@@ -44,7 +44,7 @@ constexpr std::uint32_t kMaxPendingFootprint = 4096;
 
 CpuCore::CpuCore(SimContext &ctx, int index, const CpuCoreParams &params,
                  CoreListener &listener)
-    : SimObject(ctx, "core" + std::to_string(index)),
+    : SimObject(ctx, "core" + std::to_string(index), kSiteKinds),
       index_(index),
       params_(params),
       clock_(params.freq_ghz),
@@ -153,10 +153,9 @@ CpuCore::goIdle()
         panic("%s: goIdle with an attached thread", name().c_str());
     state_ = CoreState::Idle;
     if (grace_event_ == kInvalidEventId || !events().pending(grace_event_))
-        grace_event_ = scheduleAfter(
-            params_.idle_grace, [this] { enterSleep(); },
-            EventPriority::Stats,
-            {{"core.grace", static_cast<std::uint64_t>(index_)}, {}});
+        grace_event_ = scheduleAfter(params_.idle_grace,
+                                     EventPriority::Stats, kGrace,
+                                     static_cast<std::uint64_t>(index_));
 }
 
 void
@@ -313,9 +312,8 @@ CpuCore::beginRunBurst(const BurstRequest &request)
     burst_duration_ = duration;
     burst_active_ = true;
     state_ = CoreState::Running;
-    burst_event_ = scheduleAfter(
-        duration, [this] { finishBurst(); }, EventPriority::Default,
-        {{"core.burst", static_cast<std::uint64_t>(index_)}, {}});
+    burst_event_ = scheduleAfter(duration, EventPriority::Default, kBurst,
+                                 static_cast<std::uint64_t>(index_));
 }
 
 void
@@ -398,9 +396,8 @@ CpuCore::serviceNextIrq()
     irq_duration_ = overhead + body;
     if (irq_duration_ == 0)
         irq_duration_ = 1;
-    irq_event_ = scheduleAfter(
-        irq_duration_, [this] { finishIrq(); }, EventPriority::Interrupt,
-        {{"core.irq", static_cast<std::uint64_t>(index_)}, {}});
+    irq_event_ = scheduleAfter(irq_duration_, EventPriority::Interrupt,
+                               kIrqDone, static_cast<std::uint64_t>(index_));
 }
 
 void
@@ -430,10 +427,9 @@ CpuCore::beginWake()
                                 now() - sleep_entered_);
     state_ = CoreState::Waking;
     ++wakeups_;
-    wake_event_ = scheduleAfter(
-        params_.cc6_exit_latency, [this] { finishWake(); },
-        EventPriority::Interrupt,
-        {{"core.wake", static_cast<std::uint64_t>(index_)}, {}});
+    wake_event_ = scheduleAfter(params_.cc6_exit_latency,
+                                EventPriority::Interrupt, kWake,
+                                static_cast<std::uint64_t>(index_));
 }
 
 void
@@ -455,10 +451,9 @@ CpuCore::enterSleep()
         && now() - last_irq_time_ < params_.min_sleep_gap) {
         // The governor predicts another interrupt too soon for CC6
         // residency to pay off; stay in shallow idle and re-check.
-        grace_event_ = scheduleAfter(
-            params_.idle_grace, [this] { enterSleep(); },
-            EventPriority::Stats,
-            {{"core.grace", static_cast<std::uint64_t>(index_)}, {}});
+        grace_event_ = scheduleAfter(params_.idle_grace,
+                                     EventPriority::Stats, kGrace,
+                                     static_cast<std::uint64_t>(index_));
         return;
     }
     state_ = CoreState::Asleep;
@@ -746,19 +741,23 @@ CpuCore::snapRestore(snap::Reader &r, const IrqRebuild &irqs,
     user_branch_misses_ = r.u64();
 }
 
-EventQueue::Callback
-CpuCore::rebuildEvent(const snap::Tag &tag)
+void
+CpuCore::fire(const snap::Tag &tag)
 {
-    if (tag.self.is("core.grace"))
-        return [this] { enterSleep(); };
-    if (tag.self.is("core.burst"))
-        return [this] { finishBurst(); };
-    if (tag.self.is("core.irq"))
-        return [this] { finishIrq(); };
-    if (tag.self.is("core.wake"))
-        return [this] { finishWake(); };
-    throw snap::SnapshotError("unknown core event tag '" +
-                              std::string(tag.self.kind) + "'");
+    switch (tag.site) {
+      case kGrace:
+        enterSleep();
+        return;
+      case kBurst:
+        finishBurst();
+        return;
+      case kIrqDone:
+        finishIrq();
+        return;
+      case kWake:
+        finishWake();
+        return;
+    }
 }
 
 std::uint64_t

@@ -168,6 +168,11 @@ class CoreListener
 class CpuCore : public SimObject
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kGrace, kBurst, kIrqDone, kWake };
+    static constexpr const char *kSiteKinds[] = {
+        "core.grace", "core.burst", "core.irq", "core.wake"};
+
     CpuCore(SimContext &ctx, int index, const CpuCoreParams &params,
             CoreListener &listener);
 
@@ -267,6 +272,8 @@ class CpuCore : public SimObject
 
     /// @name Snapshot support.
     /// @{
+    void fire(const snap::Tag &tag) override;
+
     /** Rebuilds a queued Irq from its producer token on restore. */
     using IrqRebuild = std::function<Irq(const snap::Token &)>;
 
@@ -280,9 +287,6 @@ class CpuCore : public SimObject
      */
     void snapRestore(snap::Reader &r, const IrqRebuild &irqs,
                      const std::function<Thread *(int)> &threadById);
-
-    /** Rebuild a pending event callback from its tag ("core.*"). */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag);
 
     /**
      * Digest of all behaviour-relevant core state (substrate hashes,

@@ -24,11 +24,13 @@ gpuName(int device_id)
 } // namespace
 
 Gpu::Gpu(SimContext &ctx, Iommu &iommu, const GpuParams &params)
-    : SimObject(ctx, gpuName(params.device_id)), iommu_(iommu),
-      params_(params)
+    : SimObject(ctx, gpuName(params.device_id), kSiteKinds),
+      iommu_(iommu), params_(params)
 {
     if (params.max_outstanding == 0)
         fatal("GpuParams: max_outstanding must be positive");
+    iommu.attachClient(static_cast<std::uint64_t>(params.device_id),
+                       *this);
     auto &reg = stats();
     const std::string p = name() + ".";
     reg.addFormula(p + "chunks", "work chunks completed",
@@ -204,34 +206,22 @@ Gpu::issueTranslate(int w)
     // A retried assignment was already counted as issued.
     if (count_fault && wf.retries == 0)
         ++faults_issued_;
-    Iommu::TranslateCallback cb =
-        [this, w, count_fault](TranslateResult result) {
-            onTranslateResult(w, result, count_fault);
-        };
     const snap::Token token{"gpu.xlate",
                             static_cast<std::uint64_t>(params_.device_id),
                             static_cast<std::uint64_t>(w),
                             count_fault ? 1u : 0u};
     if (batching_) {
-        batch_reqs_.push_back({wf.work.vpn, std::move(cb), token});
+        batch_reqs_.push_back({wf.work.vpn, token});
         return;
     }
-    iommu_.translate(wf.work.vpn, std::move(cb), demand_paging_,
-                     static_cast<Pasid>(params_.device_id), token);
+    iommu_.translate(wf.work.vpn, token, demand_paging_,
+                     static_cast<Pasid>(params_.device_id));
 }
 
-Iommu::TranslateCallback
-Gpu::rebuildTranslateCallback(const snap::Token &token)
+void
+Gpu::translated(const snap::Token &token, TranslateResult result)
 {
-    if (!token.is("gpu.xlate"))
-        throw snap::SnapshotError(
-            std::string("unknown gpu callback token '")
-            + (token.kind != nullptr ? token.kind : "") + "'");
-    const int w = static_cast<int>(token.b);
-    const bool count_fault = token.c != 0;
-    return [this, w, count_fault](TranslateResult result) {
-        onTranslateResult(w, result, count_fault);
-    };
+    onTranslateResult(static_cast<int>(token.b), result, token.c != 0);
 }
 
 void
@@ -262,11 +252,9 @@ Gpu::onTranslateResult(int w, TranslateResult result, bool count_fault)
         trace("wavefront %d retry %d after INVALID, backoff %llu", w,
               wf.retries,
               static_cast<unsigned long long>(wf.backoff));
-        scheduleAfter(wf.backoff, [this, w] { beginTranslate(w); },
-                      EventPriority::Device,
-                      {{"gpu.retry",
-                        static_cast<std::uint64_t>(params_.device_id),
-                        static_cast<std::uint64_t>(w)}, {}});
+        scheduleAfter(wf.backoff, EventPriority::Device, kRetry,
+                      static_cast<std::uint64_t>(params_.device_id),
+                      static_cast<std::uint64_t>(w));
         return;
     }
     abortWavefront(w);
@@ -310,11 +298,9 @@ Gpu::onTranslated(int w)
         const auto replay = static_cast<Tick>(
             static_cast<double>(workload_.fault_replay)
             * rng().uniformReal(0.6, 1.4));
-        scheduleAfter(replay, [this, w] { processChunks(w); },
-                      EventPriority::Device,
-                      {{"gpu.replay",
-                        static_cast<std::uint64_t>(params_.device_id),
-                        static_cast<std::uint64_t>(w)}, {}});
+        scheduleAfter(replay, EventPriority::Device, kReplay,
+                      static_cast<std::uint64_t>(params_.device_id),
+                      static_cast<std::uint64_t>(w));
         return;
     }
     processChunks(w);
@@ -327,13 +313,9 @@ Gpu::processChunks(int w)
     const auto duration = static_cast<Tick>(
         static_cast<double>(wf.work.chunks * workload_.chunk_duration)
         * rng().uniformReal(0.85, 1.15));
-    const std::uint64_t chunks = wf.work.chunks;
-    scheduleAfter(duration == 0 ? 1 : duration, [this, w, chunks] {
-        chunks_completed_ += chunks;
-        wavefrontFetch(w);
-    }, EventPriority::Device,
-    {{"gpu.chunk", static_cast<std::uint64_t>(params_.device_id),
-      static_cast<std::uint64_t>(w), chunks}, {}});
+    scheduleAfter(duration == 0 ? 1 : duration, EventPriority::Device,
+                  kChunk, static_cast<std::uint64_t>(params_.device_id),
+                  static_cast<std::uint64_t>(w), wf.work.chunks);
 }
 
 void
@@ -363,25 +345,22 @@ Gpu::ssrRate() const
     return static_cast<double>(faults_resolved_) / ticksToSec(elapsed);
 }
 
-EventQueue::Callback
-Gpu::rebuildEvent(const snap::Tag &tag)
+void
+Gpu::fire(const snap::Tag &tag)
 {
-    const snap::Token &t = tag.self;
-    const int w = static_cast<int>(t.b);
-    if (t.is("gpu.retry"))
-        return [this, w] { beginTranslate(w); };
-    if (t.is("gpu.replay"))
-        return [this, w] { processChunks(w); };
-    if (t.is("gpu.chunk")) {
-        const std::uint64_t chunks = t.c;
-        return [this, w, chunks] {
-            chunks_completed_ += chunks;
-            wavefrontFetch(w);
-        };
+    const int w = static_cast<int>(tag.self.b);
+    switch (tag.site) {
+      case kRetry:
+        beginTranslate(w);
+        return;
+      case kReplay:
+        processChunks(w);
+        return;
+      case kChunk:
+        chunks_completed_ += tag.self.c;
+        wavefrontFetch(w);
+        return;
     }
-    throw snap::SnapshotError(
-        std::string("unknown gpu event tag '")
-        + (t.kind != nullptr ? t.kind : "") + "'");
 }
 
 void

@@ -94,9 +94,16 @@ struct GpuWorkloadParams
 };
 
 /** The GPU device. */
-class Gpu : public SimObject
+class Gpu : public SimObject, public TranslateClient
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kRetry, kReplay, kChunk };
+    static constexpr const char *kSiteKinds[] = {"gpu.retry", "gpu.replay",
+                                                 "gpu.chunk"};
+
+    /** Builds the GPU and attaches it to @p iommu as the translate
+     *  client of its device id. */
     Gpu(SimContext &ctx, Iommu &iommu, const GpuParams &params);
 
     /**
@@ -135,6 +142,10 @@ class Gpu : public SimObject
 
     std::uint32_t outstanding() const { return outstanding_; }
 
+    void fire(const snap::Tag &tag) override;
+    void translated(const snap::Token &token,
+                    TranslateResult result) override;
+
     /// @name Snapshot support.
     /// @{
     /** Serialize workload progress, wavefront states, and counters.
@@ -142,12 +153,6 @@ class Gpu : public SimObject
      *  launch() replayed on the restore target. */
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    /** Rebuild an in-flight translate callback from its token
-     *  ("gpu.xlate", device, wavefront, count_fault). */
-    Iommu::TranslateCallback
-    rebuildTranslateCallback(const snap::Token &token);
-    /** Rebuild the callback of any gpu.* event tag. */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     std::uint64_t stateHash() const;
     /// @}
 

@@ -8,7 +8,8 @@ namespace hiss {
 
 SignalQueue::SignalQueue(SimContext &ctx, Kernel &kernel,
                          const SignalQueueParams &params)
-    : SimObject(ctx, "gpu_signal_queue"), kernel_(kernel), params_(params)
+    : SimObject(ctx, "gpu_signal_queue", kSiteKinds), kernel_(kernel),
+      params_(params)
 {
     if (params.steer_core >= kernel.numCores())
         fatal("SignalQueue: steer_core %d out of range", params.steer_core);
@@ -43,8 +44,7 @@ SignalQueue::SignalQueue(SimContext &ctx, Kernel &kernel,
 }
 
 void
-SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
-                        snap::Token cb_token)
+SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered)
 {
     const bool had_cb = static_cast<bool>(on_delivered);
     FaultInjector *faults = faultInjector();
@@ -64,14 +64,11 @@ SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
         trace("signal %llu lost in queue",
               static_cast<unsigned long long>(id));
         if (faults->plan().signal_resend > 0) {
+            if (had_cb)
+                resend_callbacks_.emplace(id, std::move(on_delivered));
             scheduleAfter(faults->plan().signal_resend,
-                          [this, cb = std::move(on_delivered),
-                           cb_token]() mutable {
-                              ++signals_resent_;
-                              sendSignal(std::move(cb), cb_token);
-                          },
-                          EventPriority::Device,
-                          {{"sig.resend", had_cb ? 1u : 0u}, cb_token});
+                          EventPriority::Device, kResend,
+                          had_cb ? 1u : 0u, id);
         }
         return;
     }
@@ -80,7 +77,7 @@ SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
     request.id = next_id_++;
     request.kind = ServiceKind::Signal;
     request.issued_at = now();
-    request.origin = {{"sig.req", had_cb ? 1u : 0u}, cb_token};
+    request.origin = {{"sig.req", had_cb ? 1u : 0u}, {}};
     request.on_service_complete =
         [this, cb = std::move(on_delivered)](CpuCore &core) {
             ++signals_delivered_;
@@ -121,28 +118,18 @@ SignalQueue::considerRaise()
         if (fate.dropped) {
             // Same watchdog recovery as the IOMMU MSI path: the
             // queued signals stay put until the re-raise.
-            scheduleAfter(faults->plan().irq_watchdog, [this] {
-                if (irq_inflight_) {
-                    irq_inflight_ = false;
-                    ++irq_recoveries_;
-                    considerRaise();
-                }
-            }, EventPriority::Device, {{"sig.irqwd"}, {}});
+            scheduleAfter(faults->plan().irq_watchdog,
+                          EventPriority::Device, kIrqWatchdog);
             return;
         }
         latency += fate.extra_delay;
-        if (fate.duplicated) {
-            scheduleAfter(latency + params_.msi_latency, [this] {
-                kernel_.deliverIrq(pickTarget(),
-                                   driver_->makeInterrupt());
-            }, EventPriority::Device, {{"sig.irqdup"}, {}});
-        }
+        if (fate.duplicated)
+            scheduleAfter(latency + params_.msi_latency,
+                          EventPriority::Device, kIrqDup);
     }
     const int target = pickTarget();
-    scheduleAfter(latency, [this, target] {
-        kernel_.deliverIrq(target, driver_->makeInterrupt());
-    }, EventPriority::Device,
-    {{"sig.irq", static_cast<std::uint64_t>(target)}, {}});
+    scheduleAfter(latency, EventPriority::Device, kIrq,
+                  static_cast<std::uint64_t>(target));
 }
 
 std::vector<SsrRequest>
@@ -179,49 +166,43 @@ SignalQueue::rebuildRequestCallbacks(SsrRequest &request)
         request.on_abort = [this] { ++signals_aborted_; };
 }
 
-EventQueue::Callback
-SignalQueue::rebuildEvent(const snap::Tag &tag)
+void
+SignalQueue::fire(const snap::Tag &tag)
 {
-    const snap::Token &t = tag.self;
-    if (t.is("sig.resend")) {
-        if (t.a != 0)
-            throw snap::SnapshotError(
-                "pending signal re-send carries a live delivery "
-                "callback; signals with callbacks cannot cross a "
-                "snapshot boundary");
-        return [this] {
-            ++signals_resent_;
-            sendSignal(nullptr);
-        };
+    switch (tag.site) {
+      case kResend: {
+        ++signals_resent_;
+        std::function<void(CpuCore &)> cb;
+        auto held = resend_callbacks_.extract(tag.self.b);
+        if (!held.empty())
+            cb = std::move(held.mapped());
+        sendSignal(std::move(cb));
+        return;
+      }
+      case kIrqWatchdog:
+        if (irq_inflight_) {
+            irq_inflight_ = false;
+            ++irq_recoveries_;
+            considerRaise();
+        }
+        return;
+      case kIrqDup:
+        kernel_.deliverIrq(pickTarget(), driver_->makeInterrupt());
+        return;
+      case kIrq:
+        kernel_.deliverIrq(static_cast<int>(tag.self.a),
+                           driver_->makeInterrupt());
+        return;
     }
-    if (t.is("sig.irqwd")) {
-        return [this] {
-            if (irq_inflight_) {
-                irq_inflight_ = false;
-                ++irq_recoveries_;
-                considerRaise();
-            }
-        };
-    }
-    if (t.is("sig.irqdup")) {
-        return [this] {
-            kernel_.deliverIrq(pickTarget(), driver_->makeInterrupt());
-        };
-    }
-    if (t.is("sig.irq")) {
-        const int target = static_cast<int>(t.a);
-        return [this, target] {
-            kernel_.deliverIrq(target, driver_->makeInterrupt());
-        };
-    }
-    throw snap::SnapshotError(
-        std::string("unknown signal-queue event tag '")
-        + (t.kind != nullptr ? t.kind : "") + "'");
 }
 
 void
 SignalQueue::snapSave(snap::Writer &w) const
 {
+    if (!resend_callbacks_.empty())
+        throw snap::SnapshotError(
+            "pending signal re-send carries a live delivery callback; "
+            "signals with callbacks cannot cross a snapshot boundary");
     w.section("sigq");
     w.u64(queue_.size());
     for (const SsrRequest &request : queue_)
@@ -240,6 +221,7 @@ void
 SignalQueue::snapRestore(snap::Reader &r)
 {
     r.section("sigq");
+    resend_callbacks_.clear();
     queue_.clear();
     const std::uint64_t queued = r.u64();
     for (std::uint64_t i = 0; i < queued; ++i) {
@@ -262,6 +244,7 @@ std::uint64_t
 SignalQueue::stateHash() const
 {
     snap::Hash64 h;
+    h.mix(resend_callbacks_.size());
     h.mix(queue_.size());
     for (const SsrRequest &request : queue_) {
         h.mix(request.id);

@@ -13,6 +13,7 @@
 
 #include <deque>
 #include <functional>
+#include <map>
 
 #include "os/kernel.h"
 #include "os/ssr_driver.h"
@@ -34,6 +35,11 @@ struct SignalQueueParams
 class SignalQueue : public SimObject, public RequestSource
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kResend, kIrqWatchdog, kIrqDup, kIrq };
+    static constexpr const char *kSiteKinds[] = {
+        "sig.resend", "sig.irqwd", "sig.irqdup", "sig.irq"};
+
     SignalQueue(SimContext &ctx, Kernel &kernel,
                 const SignalQueueParams &params);
 
@@ -44,13 +50,11 @@ class SignalQueue : public SimObject, public RequestSource
      * Issue one signal SSR (S_SENDMSG). @p on_delivered fires on the
      * servicing core once the OS has delivered the signal.
      *
-     * @p cb_token optionally names the producer of @p on_delivered
-     * for snapshot identity. Signals with a live callback but no
-     * token cannot cross a snapshot boundary (restore refuses with a
-     * clear error); callback-free signals always can.
+     * Signals with a live callback cannot cross a snapshot boundary
+     * (save or restore refuses with a clear error); callback-free
+     * signals always can.
      */
-    void sendSignal(std::function<void(CpuCore &)> on_delivered,
-                    snap::Token cb_token = {});
+    void sendSignal(std::function<void(CpuCore &)> on_delivered);
 
     /// @name RequestSource interface.
     /// @{
@@ -71,6 +75,8 @@ class SignalQueue : public SimObject, public RequestSource
     /** Signals written but not yet drained (invariant audit). */
     std::size_t queueDepth() const { return queue_.size(); }
 
+    void fire(const snap::Tag &tag) override;
+
     /// @name Snapshot support.
     /// @{
     void snapSave(snap::Writer &w) const;
@@ -79,8 +85,6 @@ class SignalQueue : public SimObject, public RequestSource
      *  Throws if the live request carried a caller callback (those
      *  cannot be rebuilt; see sendSignal). */
     void rebuildRequestCallbacks(SsrRequest &request);
-    /** Rebuild the callback of any sig.* event tag. */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     std::uint64_t stateHash() const;
     /// @}
 
@@ -96,6 +100,10 @@ class SignalQueue : public SimObject, public RequestSource
     // re-attached via setDriver during system construction
     SsrDriver *driver_ = nullptr;
     std::deque<SsrRequest> queue_;
+    /** Delivery callbacks of lost signals awaiting re-send, keyed by
+     *  the lost signal's id (the sig.resend event carries the id). */
+    std::map<std::uint64_t, std::function<void(CpuCore &)>>
+        resend_callbacks_;
     bool irq_inflight_ = false;
     int rr_next_core_ = 0;
     std::uint64_t next_id_ = 1;

@@ -1,7 +1,6 @@
 #include "iommu/iommu.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "fault/fault_injector.h"
 #include "sim/check_hooks.h"
@@ -10,7 +9,7 @@
 namespace hiss {
 
 Iommu::Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params)
-    : SimObject(ctx, "iommu"),
+    : SimObject(ctx, "iommu", kSiteKinds),
       kernel_(kernel),
       spaces_(kernel.addressSpaces()),
       params_(params),
@@ -169,8 +168,31 @@ Iommu::insertIotlb(Vpn vpn)
 }
 
 void
-Iommu::finishWalk(Vpn vpn, TranslateCallback on_complete,
-                  bool allow_fault, Pasid pasid, snap::Token cb_token)
+Iommu::attachClient(std::uint64_t device, TranslateClient &client)
+{
+    if (device >= clients_.size())
+        clients_.resize(device + 1, nullptr);
+    clients_[device] = &client;
+}
+
+void
+Iommu::complete(const snap::Token &token, TranslateResult result)
+{
+    if (token.kind == kCallableKind) {
+        --callable_inflight_;
+        reinterpret_cast<TranslateClient *>(token.a)->translated(token,
+                                                                 result);
+        return;
+    }
+    if (token.a >= clients_.size() || clients_[token.a] == nullptr)
+        panic("Iommu: no translate client for device %llu",
+              static_cast<unsigned long long>(token.a));
+    clients_[token.a]->translated(token, result);
+}
+
+void
+Iommu::finishWalk(Vpn vpn, const snap::Token &token, bool allow_fault,
+                  Pasid pasid)
 {
     // Pinned-memory baseline: the page was (conceptually) mapped
     // before launch, so the walk succeeds with no host work. No frame
@@ -180,35 +202,27 @@ Iommu::finishWalk(Vpn vpn, TranslateCallback on_complete,
     Pfn pfn;
     if (!allow_fault || spaces_.table(pasid).translate(vpn, pfn)) {
         insertIotlb(vpn);
-        on_complete(TranslateResult::Ok);
+        complete(token, TranslateResult::Ok);
         return;
     }
-    queuePpr(pasid, vpn, std::move(on_complete), cb_token);
+    queuePpr(pasid, vpn, token);
 }
 
 void
-Iommu::translate(Vpn vpn, TranslateCallback on_complete, bool allow_fault,
-                 Pasid pasid, snap::Token cb_token)
+Iommu::translate(Vpn vpn, const snap::Token &token, bool allow_fault,
+                 Pasid pasid)
 {
     // Note: the IOTLB is tagged by VPN only; accelerators use
     // disjoint VPN namespaces, so entries cannot alias in practice.
     if (iotlbContains(vpn)) {
         ++iotlb_hits_;
-        scheduleAfter(params_.iotlb_hit_latency,
-                      [cb = std::move(on_complete)] {
-                          cb(TranslateResult::Ok);
-                      },
-                      EventPriority::Device,
-                      {{"iommu.hit", vpn}, cb_token});
+        scheduleAfter(params_.iotlb_hit_latency, EventPriority::Device,
+                      kHit, vpn, 0, 0, token);
         return;
     }
     ++iotlb_misses_;
-    scheduleAfter(params_.walk_latency,
-                  [this, vpn, cb = std::move(on_complete), allow_fault,
-                   pasid, cb_token]() mutable {
-        finishWalk(vpn, std::move(cb), allow_fault, pasid, cb_token);
-    }, EventPriority::Device,
-    {{"iommu.walk", vpn, pasid, allow_fault ? 1u : 0u}, cb_token});
+    scheduleAfter(params_.walk_latency, EventPriority::Device, kWalk, vpn,
+                  pasid, allow_fault ? 1u : 0u, token);
 }
 
 void
@@ -238,34 +252,29 @@ Iommu::translateBatch(std::vector<TranslateRequest> requests,
             ++iotlb_misses_;
             any_walk = true;
         }
-        batch.ops.push_back(
-            {hit, req.vpn, req.token, std::move(req.on_complete)});
+        batch.ops.push_back({hit, req.vpn, req.token});
     }
     // One fused event per latency class replays the per-request
     // bodies in issue order — under the event queue's same-(tick,
     // priority) FIFO guarantee this is observably identical to the
     // per-request events scalar translate() would have scheduled.
     // The pending ops live in the batches_ ledger keyed by id, so
-    // each event carries only (id, select) — snapshottable POD —
-    // instead of a closure owning the op vector.
+    // each event carries only (id, select).
     // select: 0 = hits only, 1 = walks only, 2 = both in issue order
     // (the equal-latency case, where scalar events would interleave).
     if (params_.iotlb_hit_latency == params_.walk_latency) {
         batch.events_left = 1;
-        scheduleAfter(params_.walk_latency,
-                      [this, id] { runBatchOps(id, 2); },
-                      EventPriority::Device, {{"iommu.batch", id, 2}, {}});
+        scheduleAfter(params_.walk_latency, EventPriority::Device, kBatch,
+                      id, 2);
         return;
     }
     batch.events_left = (any_hit ? 1 : 0) + (any_walk ? 1 : 0);
     if (any_hit)
-        scheduleAfter(params_.iotlb_hit_latency,
-                      [this, id] { runBatchOps(id, 0); },
-                      EventPriority::Device, {{"iommu.batch", id, 0}, {}});
+        scheduleAfter(params_.iotlb_hit_latency, EventPriority::Device,
+                      kBatch, id, 0);
     if (any_walk)
-        scheduleAfter(params_.walk_latency,
-                      [this, id] { runBatchOps(id, 1); },
-                      EventPriority::Device, {{"iommu.batch", id, 1}, {}});
+        scheduleAfter(params_.walk_latency, EventPriority::Device, kBatch,
+                      id, 1);
 }
 
 void
@@ -278,60 +287,42 @@ Iommu::runBatchOps(std::uint64_t id, int select)
         if (select == 1 && op.hit)
             continue;
         if (op.hit)
-            op.on_complete(TranslateResult::Ok);
+            complete(op.token, TranslateResult::Ok);
         else
-            finishWalk(op.vpn, std::move(op.on_complete),
-                       batch.allow_fault, batch.pasid, op.token);
+            finishWalk(op.vpn, op.token, batch.allow_fault, batch.pasid);
     }
     if (--batch.events_left == 0)
         batches_.erase(id);
 }
 
 void
-Iommu::attachPprCallbacks(SsrRequest &request,
-                          TranslateCallback on_complete)
+Iommu::attachPprCallbacks(SsrRequest &request, const snap::Token &token)
 {
     const Vpn vpn = request.vpn;
     const Tick issued = request.issued_at;
+    request.on_service_complete = [this, vpn, issued, token](CpuCore &) {
+        ++faults_resolved_;
+        fault_latency_.sample(static_cast<double>(now() - issued));
+        insertIotlb(vpn);
+        complete(token, TranslateResult::Ok);
+    };
+    // Recovery-capable shape: the driver watchdog may abort instead.
     if (faultInjector() != nullptr) {
-        // Recovery-capable shape: completion and the driver-watchdog
-        // abort share the callback through one owner.
-        auto shared_cb = std::make_shared<TranslateCallback>(
-            std::move(on_complete));
-        request.on_service_complete =
-            [this, vpn, issued, shared_cb](CpuCore &) {
-                ++faults_resolved_;
-                fault_latency_.sample(
-                    static_cast<double>(now() - issued));
-                insertIotlb(vpn);
-                (*shared_cb)(TranslateResult::Ok);
-            };
-        request.on_abort = [this, shared_cb] {
+        request.on_abort = [this, token] {
             ++faults_aborted_;
-            (*shared_cb)(TranslateResult::Aborted);
+            complete(token, TranslateResult::Aborted);
         };
-    } else {
-        request.on_service_complete =
-            [this, vpn, issued, cb = std::move(on_complete)](CpuCore &) {
-                ++faults_resolved_;
-                fault_latency_.sample(
-                    static_cast<double>(now() - issued));
-                insertIotlb(vpn);
-                cb(TranslateResult::Ok);
-            };
     }
 }
 
 void
-Iommu::rebuildRequestCallbacks(SsrRequest &request,
-                               const CallbackResolver &resolver)
+Iommu::rebuildRequestCallbacks(SsrRequest &request)
 {
-    attachPprCallbacks(request, resolver(request.origin.arg));
+    attachPprCallbacks(request, request.origin.arg);
 }
 
 void
-Iommu::queuePpr(Pasid pasid, Vpn vpn, TranslateCallback on_complete,
-                snap::Token cb_token)
+Iommu::queuePpr(Pasid pasid, Vpn vpn, const snap::Token &token)
 {
     FaultInjector *faults = faultInjector();
     if (faults != nullptr && faults->pprOverflow(ppr_queue_.size())) {
@@ -339,7 +330,7 @@ Iommu::queuePpr(Pasid pasid, Vpn vpn, TranslateCallback on_complete,
         // the queue; the hardware auto-responds INVALID and the
         // device must retry (or give up).
         ++pprs_rejected_;
-        on_complete(TranslateResult::Rejected);
+        complete(token, TranslateResult::Rejected);
         return;
     }
     ++pprs_issued_;
@@ -349,8 +340,8 @@ Iommu::queuePpr(Pasid pasid, Vpn vpn, TranslateCallback on_complete,
     request.pasid = pasid;
     request.vpn = vpn;
     request.issued_at = now();
-    request.origin = {{"iommu.ppr", vpn, pasid}, cb_token};
-    attachPprCallbacks(request, std::move(on_complete));
+    request.origin = {{"iommu.ppr", vpn, pasid}, token};
+    attachPprCallbacks(request, token);
     // Track the PPR inter-arrival EMA for adaptive coalescing.
     const Tick gap = std::min<Tick>(now() - last_ppr_at_, msToTicks(1));
     last_ppr_at_ = now();
@@ -395,11 +386,8 @@ Iommu::considerRaiseMsi()
     }
     if (coalesce_event_ == kInvalidEventId
         || !events().pending(coalesce_event_)) {
-        coalesce_event_ = scheduleAfter(effectiveWindow(), [this] {
-            coalesce_event_ = kInvalidEventId;
-            if (!ppr_queue_.empty() && !msi_inflight_)
-                raiseMsi();
-        }, EventPriority::Device, {{"iommu.coalesce"}, {}});
+        coalesce_event_ = scheduleAfter(effectiveWindow(),
+                                        EventPriority::Device, kCoalesce);
     }
 }
 
@@ -417,13 +405,8 @@ Iommu::raiseMsi()
             // The delivery vanishes. A device watchdog notices the
             // never-acked interrupt and re-raises; the queued PPRs
             // stay put, so nothing is lost — only delayed.
-            scheduleAfter(faults->plan().irq_watchdog, [this] {
-                if (msi_inflight_) {
-                    msi_inflight_ = false;
-                    ++msi_recoveries_;
-                    considerRaiseMsi();
-                }
-            }, EventPriority::Device, {{"iommu.msiwd"}, {}});
+            scheduleAfter(faults->plan().irq_watchdog,
+                          EventPriority::Device, kMsiWatchdog);
             return;
         }
         latency += fate.extra_delay;
@@ -431,17 +414,13 @@ Iommu::raiseMsi()
             // A second, spurious delivery lands one MSI latency
             // after the real one; it drains whatever is queued then
             // (usually nothing) and its stray ack is harmless.
-            scheduleAfter(latency + params_.msi_latency, [this] {
-                kernel_.deliverIrq(pickTargetCore(),
-                                   driver_->makeInterrupt());
-            }, EventPriority::Device, {{"iommu.msidup"}, {}});
+            scheduleAfter(latency + params_.msi_latency,
+                          EventPriority::Device, kMsiDup);
         }
     }
     const int target = pickTargetCore();
-    scheduleAfter(latency, [this, target] {
-        kernel_.deliverIrq(target, driver_->makeInterrupt());
-    }, EventPriority::Device,
-    {{"iommu.msi", static_cast<std::uint64_t>(target)}, {}});
+    scheduleAfter(latency, EventPriority::Device, kMsi,
+                  static_cast<std::uint64_t>(target));
 }
 
 int
@@ -491,64 +470,49 @@ Iommu::ack()
     considerRaiseMsi();
 }
 
-EventQueue::Callback
-Iommu::rebuildEvent(const snap::Tag &tag, const CallbackResolver &resolver)
+void
+Iommu::fire(const snap::Tag &tag)
 {
     const snap::Token &t = tag.self;
-    if (t.is("iommu.hit")) {
-        return [cb = resolver(tag.arg)] { cb(TranslateResult::Ok); };
+    switch (tag.site) {
+      case kHit:
+        complete(tag.arg, TranslateResult::Ok);
+        return;
+      case kWalk:
+        finishWalk(t.a, tag.arg, t.c != 0, static_cast<Pasid>(t.b));
+        return;
+      case kBatch:
+        runBatchOps(t.a, static_cast<int>(t.b));
+        return;
+      case kCoalesce:
+        coalesce_event_ = kInvalidEventId;
+        if (!ppr_queue_.empty() && !msi_inflight_)
+            raiseMsi();
+        return;
+      case kMsiWatchdog:
+        if (msi_inflight_) {
+            msi_inflight_ = false;
+            ++msi_recoveries_;
+            considerRaiseMsi();
+        }
+        return;
+      case kMsiDup:
+        kernel_.deliverIrq(pickTargetCore(), driver_->makeInterrupt());
+        return;
+      case kMsi:
+        kernel_.deliverIrq(static_cast<int>(t.a), driver_->makeInterrupt());
+        return;
     }
-    if (t.is("iommu.walk")) {
-        const Vpn vpn = t.a;
-        const auto pasid = static_cast<Pasid>(t.b);
-        const bool allow_fault = t.c != 0;
-        const snap::Token cb_token = tag.arg;
-        return [this, vpn, pasid, allow_fault, cb_token,
-                cb = resolver(tag.arg)]() mutable {
-            finishWalk(vpn, std::move(cb), allow_fault, pasid, cb_token);
-        };
-    }
-    if (t.is("iommu.batch")) {
-        const std::uint64_t id = t.a;
-        const int select = static_cast<int>(t.b);
-        return [this, id, select] { runBatchOps(id, select); };
-    }
-    if (t.is("iommu.coalesce")) {
-        return [this] {
-            coalesce_event_ = kInvalidEventId;
-            if (!ppr_queue_.empty() && !msi_inflight_)
-                raiseMsi();
-        };
-    }
-    if (t.is("iommu.msiwd")) {
-        return [this] {
-            if (msi_inflight_) {
-                msi_inflight_ = false;
-                ++msi_recoveries_;
-                considerRaiseMsi();
-            }
-        };
-    }
-    if (t.is("iommu.msidup")) {
-        return [this] {
-            kernel_.deliverIrq(pickTargetCore(),
-                               driver_->makeInterrupt());
-        };
-    }
-    if (t.is("iommu.msi")) {
-        const int target = static_cast<int>(t.a);
-        return [this, target] {
-            kernel_.deliverIrq(target, driver_->makeInterrupt());
-        };
-    }
-    throw snap::SnapshotError(
-        std::string("unknown iommu event tag '")
-        + (t.kind != nullptr ? t.kind : "") + "'");
 }
 
 void
 Iommu::snapSave(snap::Writer &w) const
 {
+    if (callable_inflight_ != 0)
+        throw snap::SnapshotError(
+            "cannot snapshot: " + std::to_string(callable_inflight_)
+            + " IOMMU translation(s) issued with a plain callable ('"
+            + kCallableKind + "') are in flight");
     w.section("iommu");
     // Only the FIFO ring is IOTLB state; snapRestore rebuilds the
     // probe table from it, so the format does not depend on the hash.
@@ -591,9 +555,10 @@ Iommu::snapSave(snap::Writer &w) const
 }
 
 void
-Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
+Iommu::snapRestore(snap::Reader &r)
 {
     r.section("iommu");
+    callable_inflight_ = 0;
     if (r.u64() != iotlb_ring_.size())
         throw snap::SnapshotError("IOTLB capacity mismatch");
     for (Vpn &v : iotlb_ring_)
@@ -615,8 +580,8 @@ Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
     const std::uint64_t queued = r.u64();
     for (std::uint64_t i = 0; i < queued; ++i) {
         ppr_queue_.push_back(snapRestoreRequest(
-            r, [this, &resolver](SsrRequest &request) {
-                rebuildRequestCallbacks(request, resolver);
+            r, [this](SsrRequest &request) {
+                rebuildRequestCallbacks(request);
             }));
     }
     last_ppr_at_ = r.u64();
@@ -638,7 +603,6 @@ Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
             op.hit = r.b();
             op.vpn = r.u64();
             op.token = r.token();
-            op.on_complete = resolver(op.token);
         }
     }
     next_batch_id_ = r.u64();
@@ -656,6 +620,7 @@ std::uint64_t
 Iommu::stateHash() const
 {
     snap::Hash64 h;
+    h.mix(callable_inflight_);
     for (const Vpn v : iotlb_ring_)
         h.mix(v);
     h.mix(iotlb_head_);

@@ -18,9 +18,11 @@
 #define HISS_IOMMU_IOMMU_H_
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
-#include <functional>
 #include <map>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "mem/address_space_dir.h"
@@ -84,24 +86,41 @@ enum class TranslateResult {
     Aborted,  ///< Driver watchdog gave up on the request (terminal).
 };
 
+/**
+ * A device that translates through the IOMMU. Each request carries a
+ * token the device chose (the GPU's is "gpu.xlate" (device,
+ * wavefront, count_fault)); when the translation resolves, the IOMMU
+ * hands the token back to the client registered under token.a.
+ */
+class TranslateClient
+{
+  public:
+    virtual ~TranslateClient() = default;
+
+    /** The translation issued with @p token resolved as @p result. */
+    virtual void translated(const snap::Token &token,
+                            TranslateResult result) = 0;
+};
+
 /** The IOMMU: translation front-end and PPR/MSI back-end. */
 class Iommu : public SimObject, public RequestSource
 {
   public:
-    /** Invoked when a translation finally resolves (or fails). */
-    using TranslateCallback = std::function<void(TranslateResult)>;
-
-    /**
-     * Rebuilds a device-side translate callback from the producer
-     * token it was issued with (snapshot restore; System supplies
-     * one that routes "gpu.xlate" tokens to the owning Gpu).
-     */
-    using CallbackResolver =
-        std::function<TranslateCallback(const snap::Token &)>;
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t {
+        kHit, kWalk, kBatch, kCoalesce, kMsiWatchdog, kMsiDup, kMsi
+    };
+    static constexpr const char *kSiteKinds[] = {
+        "iommu.hit", "iommu.walk", "iommu.batch", "iommu.coalesce",
+        "iommu.msiwd", "iommu.msidup", "iommu.msi"};
 
     Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params);
 
     const IommuParams &params() const { return params_; }
+
+    /** Deliver completions of tokens with token.a == @p device to
+     *  @p client. */
+    void attachClient(std::uint64_t device, TranslateClient &client);
 
     /**
      * Translate @p vpn in address space @p pasid on behalf of the
@@ -109,26 +128,51 @@ class Iommu : public SimObject, public RequestSource
      *
      * Resolution paths: IOTLB hit; walk hit (mapped page); or — when
      * @p allow_fault — a PPR serviced by the host (the full SSR
-     * chain), after which the callback fires. With @p allow_fault
-     * false every walk succeeds with no host involvement and no
-     * frame or page-table entry allocated (models the traditional
-     * pinned-memory baseline, i.e. "no SSRs").
-     *
-     * @p cb_token names the producer of @p on_complete so a pending
-     * translation can be re-materialized from a snapshot; callers
-     * that never snapshot may omit it (the save then refuses with a
-     * clear error while such a translation is in flight).
+     * chain), after which @p token goes back to its client. With
+     * @p allow_fault false every walk succeeds with no host
+     * involvement and no frame or page-table entry allocated (models
+     * the traditional pinned-memory baseline, i.e. "no SSRs").
      */
-    void translate(Vpn vpn, TranslateCallback on_complete,
-                   bool allow_fault = true, Pasid pasid = 0,
-                   snap::Token cb_token = {});
+    void translate(Vpn vpn, const snap::Token &token,
+                   bool allow_fault = true, Pasid pasid = 0);
+
+    /** Kind of the tokens translate(Vpn, F, ...) issues. */
+    static constexpr char kCallableKind[] = "iommu.callable";
+
+    /**
+     * translate() with a plain callable completion, for replay
+     * benchmarks: F must be trivially copyable and at most 16 bytes;
+     * its bytes ride in the token's b and c words, and a per-type
+     * trampoline (token.a) is the client. A snapshot is refused while
+     * such a translation is in flight.
+     */
+    template <class F>
+        requires std::is_invocable_r_v<void, F &, TranslateResult>
+    void
+    translate(Vpn vpn, F on_complete, bool allow_fault = true,
+              Pasid pasid = 0)
+    {
+        static_assert(std::is_trivially_copyable_v<F>
+                          && sizeof(F) <= 2 * sizeof(std::uint64_t)
+                          && alignof(F) <= alignof(std::uint64_t),
+                      "translate(Vpn, F): F must be trivially copyable "
+                      "and fit in 16 bytes");
+        std::uint64_t words[2] = {0, 0};
+        std::memcpy(words, &on_complete, sizeof(F));
+        ++callable_inflight_;
+        translate(vpn,
+                  snap::Token{kCallableKind,
+                              reinterpret_cast<std::uintptr_t>(
+                                  &callableClient<F>),
+                              words[0], words[1]},
+                  allow_fault, pasid);
+    }
 
     /** One translation of a batch handed to translateBatch(). */
     struct TranslateRequest
     {
         Vpn vpn = 0;
-        TranslateCallback on_complete;
-        /** Producer token of on_complete (snapshot identity). */
+        /** Completion token, handed back to its client. */
         snap::Token token;
     };
 
@@ -172,6 +216,8 @@ class Iommu : public SimObject, public RequestSource
     /** Current depth of the unsent-PPR queue (tests). */
     std::size_t pprQueueDepth() const { return ppr_queue_.size(); }
 
+    void fire(const snap::Tag &tag) override;
+
     /// @name Snapshot support.
     /// @{
     /** Serialize the IOTLB's FIFO ring, unsent PPR queue,
@@ -179,25 +225,37 @@ class Iommu : public SimObject, public RequestSource
      *  The IOTLB probe table is derived state and is not written. */
     void snapSave(snap::Writer &w) const;
     /** Mirror of snapSave; rebuilds the IOTLB probe table from the
-     *  ring. @p resolver rebuilds device callbacks. */
-    void snapRestore(snap::Reader &r, const CallbackResolver &resolver);
-    /** Re-attach this IOMMU's service callbacks to a restored PPR. */
-    void rebuildRequestCallbacks(SsrRequest &request,
-                                 const CallbackResolver &resolver);
-    /** Rebuild the callback of any iommu.* event tag. */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag,
-                                      const CallbackResolver &resolver);
+     *  ring. */
+    void snapRestore(snap::Reader &r);
+    /** Re-attach this IOMMU's service callbacks to a restored PPR
+     *  (its completion token travels as request.origin.arg). */
+    void rebuildRequestCallbacks(SsrRequest &request);
     std::uint64_t stateHash() const;
     /// @}
 
   private:
+    /** The client of every translate(Vpn, F) completion of type F. */
+    template <class F>
+    struct CallableClient : TranslateClient
+    {
+        void
+        translated(const snap::Token &token, TranslateResult result) override
+        {
+            const std::uint64_t words[2] = {token.b, token.c};
+            alignas(F) unsigned char bytes[sizeof(F)];
+            std::memcpy(bytes, words, sizeof(F));
+            (*std::launder(reinterpret_cast<F *>(bytes)))(result);
+        }
+    };
+    template <class F>
+    static inline CallableClient<F> callableClient{};
+
     /** One classified element of an in-flight translate batch. */
     struct BatchOp
     {
         bool hit = false;
         Vpn vpn = 0;
         snap::Token token;
-        TranslateCallback on_complete;
     };
 
     /** A translateBatch() call whose fused events are still pending. */
@@ -215,12 +273,12 @@ class Iommu : public SimObject, public RequestSource
     void insertIotlb(Vpn vpn);
     void eraseIotlb(Vpn vpn);
     bool iotlbContains(Vpn vpn) const;
-    void finishWalk(Vpn vpn, TranslateCallback on_complete,
-                    bool allow_fault, Pasid pasid, snap::Token cb_token);
-    void queuePpr(Pasid pasid, Vpn vpn, TranslateCallback on_complete,
-                  snap::Token cb_token);
-    void attachPprCallbacks(SsrRequest &request,
-                            TranslateCallback on_complete);
+    /** Hand @p token back to its client. */
+    void complete(const snap::Token &token, TranslateResult result);
+    void finishWalk(Vpn vpn, const snap::Token &token, bool allow_fault,
+                    Pasid pasid);
+    void queuePpr(Pasid pasid, Vpn vpn, const snap::Token &token);
+    void attachPprCallbacks(SsrRequest &request, const snap::Token &token);
     void runBatchOps(std::uint64_t id, int select);
     Tick effectiveWindow() const;
     void considerRaiseMsi();
@@ -235,6 +293,13 @@ class Iommu : public SimObject, public RequestSource
     // HISS_STATE_EXEMPT(driver_): wiring; borrowed driver pointer
     // re-attached via setDriver during system construction
     SsrDriver *driver_ = nullptr;
+    // HISS_STATE_EXEMPT(clients_): wiring; each device attaches itself
+    // at construction, so a same-config restore target has the same
+    // table
+    std::vector<TranslateClient *> clients_;
+    /** translate(Vpn, F) completions still owed; their tokens hold a
+     *  host pointer, so no snapshot may be taken meanwhile. */
+    std::uint64_t callable_inflight_ = 0;
 
     // IOTLB: FIFO-replacement set of recently used translations,
     // stored flat. iotlb_ring_ holds the resident VPNs in insertion

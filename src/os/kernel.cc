@@ -7,7 +7,7 @@ namespace hiss {
 
 Kernel::Kernel(SimContext &ctx, int num_cores,
                const CpuCoreParams &core_params, const KernelParams &params)
-    : SimObject(ctx, "kernel"),
+    : SimObject(ctx, "kernel", kSiteKinds),
       params_(params),
       proc_stats_(static_cast<std::size_t>(num_cores)),
       frames_(params.dram_frames)
@@ -140,21 +140,22 @@ Kernel::createThread(const std::string &name, Priority prio,
 {
     threads_.push_back(std::make_unique<Thread>(next_thread_id_++, name,
                                                 prio, model, affinity));
+    scheduler_->addThread(threads_.back().get());
     return threads_.back().get();
 }
 
 void
 Kernel::startHousekeepingTimer(int core_index, Tick first_fire)
 {
-    scheduleAfter(first_fire, [this, core_index] {
-        fireHousekeeping(core_index);
-    }, EventPriority::Device,
-    {{"kernel.hk", static_cast<std::uint64_t>(core_index)}, {}});
+    scheduleAfter(first_fire, EventPriority::Device, kHousekeeping,
+                  static_cast<std::uint64_t>(core_index));
 }
 
 void
-Kernel::fireHousekeeping(int core_index)
+Kernel::fire(const snap::Tag &tag)
 {
+    // kHousekeeping, the only site: the timer fires and re-arms.
+    const int core_index = static_cast<int>(tag.self.a);
     deliverIrq(core_index, makeHousekeepingIrq());
     startHousekeepingTimer(core_index, params_.housekeeping_period);
 }
@@ -189,15 +190,6 @@ Kernel::finalizeStats()
         core->finalizeStats();
 }
 
-Thread *
-Kernel::threadById(int id) const
-{
-    for (const auto &thread : threads_)
-        if (thread->id() == id)
-            return thread.get();
-    return nullptr;
-}
-
 Irq
 Kernel::rebuildIrq(const snap::Token &token)
 {
@@ -210,30 +202,6 @@ Kernel::rebuildIrq(const snap::Token &token)
     throw snap::SnapshotError(
         std::string("unknown irq token '")
         + (token.kind != nullptr ? token.kind : "") + "'");
-}
-
-EventQueue::Callback
-Kernel::rebuildEvent(const snap::Tag &tag)
-{
-    const snap::Token &t = tag.self;
-    if (t.is("kernel.hk")) {
-        const int core_index = static_cast<int>(t.a);
-        return [this, core_index] { fireHousekeeping(core_index); };
-    }
-    if (t.is("sched.preempt") || t.is("sched.ipi")
-        || t.is("sched.sleep")) {
-        return scheduler_->rebuildEvent(
-            tag, [this](int id) { return threadById(id); });
-    }
-    if (t.is("drv.wd"))
-        return drivers_.at(t.a)->rebuildEvent(tag);
-    if (t.is("core.grace") || t.is("core.burst") || t.is("core.irq")
-        || t.is("core.wake")) {
-        return core(static_cast<int>(t.a)).rebuildEvent(tag);
-    }
-    throw snap::SnapshotError(
-        std::string("unknown kernel event tag '")
-        + (t.kind != nullptr ? t.kind : "") + "'");
 }
 
 void
@@ -283,8 +251,7 @@ Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     snap::Access::restore(r, proc_stats_);
     snap::Access::restore(r, frames_);
     snap::Access::restore(r, spaces_);
-    scheduler_->snapRestore(r,
-                            [this](int id) { return threadById(id); });
+    scheduler_->snapRestore(r);
     services_->snapRestore(r);
 
     // Rebuilds an in-flight WorkItem: reconstruct the originating
@@ -333,7 +300,7 @@ Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
             r, [this](const snap::Token &token) {
                 return rebuildIrq(token);
             },
-            [this](int id) { return threadById(id); });
+            [this](int id) { return scheduler_->threadById(id); });
     }
 }
 

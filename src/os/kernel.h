@@ -54,6 +54,10 @@ struct KernelParams
 class Kernel : public SimObject, public CoreListener
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kHousekeeping };
+    static constexpr const char *kSiteKinds[] = {"kernel.hk"};
+
     /**
      * Builds the kernel and its CPU cores.
      * @param num_cores  CPU core count (paper testbed: 4).
@@ -138,6 +142,8 @@ class Kernel : public SimObject, public CoreListener
     /** Aggregate SSR CPU time across all cores. */
     Tick totalSsrTicks() const;
 
+    void fire(const snap::Tag &tag) override;
+
     /// @name Snapshot support.
     /// @{
     /** Serialize the whole OS: kernel bookkeeping, threads, memory
@@ -150,18 +156,13 @@ class Kernel : public SimObject, public CoreListener
      *        requests from their origin tags (System provides it).
      */
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
-    /** Rebuild the callback of any kernel./sched./drv./core. event. */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     /** Re-materialize an in-flight Irq from its producer token. */
     Irq rebuildIrq(const snap::Token &token);
-    /** Lookup a kernel-owned thread by id (nullptr if unknown). */
-    Thread *threadById(int id) const;
     std::uint64_t stateHash() const;
     /// @}
 
   private:
     void startHousekeepingTimer(int core_index, Tick first_fire);
-    void fireHousekeeping(int core_index);
     Irq makeHousekeepingIrq();
 
     // HISS_STATE_EXEMPT(params_): construction config, covered by the

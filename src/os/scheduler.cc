@@ -10,7 +10,7 @@ namespace hiss {
 
 Scheduler::Scheduler(SimContext &ctx, std::vector<CpuCore *> cores,
                      const SchedulerParams &params)
-    : SimObject(ctx, "sched"),
+    : SimObject(ctx, "sched", kSiteKinds),
       cores_(std::move(cores)),
       params_(params),
       queues_(cores_.size()),
@@ -27,11 +27,38 @@ Scheduler::Scheduler(SimContext &ctx, std::vector<CpuCore *> cores,
 }
 
 void
+Scheduler::addThread(Thread *thread)
+{
+    const auto id = static_cast<std::size_t>(thread->id());
+    if (id >= threads_.size())
+        threads_.resize(id + 1, nullptr);
+    threads_[id] = thread;
+}
+
+Thread *
+Scheduler::threadById(int id) const
+{
+    const auto i = static_cast<std::size_t>(id);
+    return id >= 0 && i < threads_.size() ? threads_[i] : nullptr;
+}
+
+Thread &
+Scheduler::eventThread(std::uint64_t id) const
+{
+    Thread *thread = threadById(static_cast<int>(id));
+    if (thread == nullptr)
+        panic("sched: event names unknown thread id %llu",
+              static_cast<unsigned long long>(id));
+    return *thread;
+}
+
+void
 Scheduler::start(Thread *thread)
 {
     if (thread->state() != ThreadState::Created)
         panic("Scheduler::start on non-Created thread %s",
               thread->name().c_str());
+    addThread(thread);
     thread->setState(ThreadState::Blocked);
     wake(thread, nullptr);
 }
@@ -88,12 +115,9 @@ Scheduler::maybePreempt(CpuCore &target, Thread *waker, CpuCore *from)
             sendReschedIpi(target);
         } else {
             const Tick delay = params_.wakeup_granularity - ran;
-            scheduleAfter(delay, makePreemptCheck(&target, waker),
-                          EventPriority::Scheduler,
-                          {{"sched.preempt",
-                            static_cast<std::uint64_t>(target.index()),
-                            static_cast<std::uint64_t>(waker->id())},
-                           {}});
+            scheduleAfter(delay, EventPriority::Scheduler, kPreemptCheck,
+                          static_cast<std::uint64_t>(target.index()),
+                          static_cast<std::uint64_t>(waker->id()));
         }
     }
     // Lower-urgency wakeups wait for a natural boundary or timeslice.
@@ -131,11 +155,8 @@ Scheduler::sendReschedIpi(CpuCore &target)
         if (delay > 0) {
             // Injected interconnect delay: the IPI arrives late but
             // is never lost (resched_pending_ stays set meanwhile).
-            scheduleAfter(delay, makeIpiDelivery(&target),
-                          EventPriority::Scheduler,
-                          {{"sched.ipi",
-                            static_cast<std::uint64_t>(target.index())},
-                           {}});
+            scheduleAfter(delay, EventPriority::Scheduler, kIpiDelivery,
+                          static_cast<std::uint64_t>(target.index()));
             return;
         }
     }
@@ -146,44 +167,38 @@ void
 Scheduler::sleepThread(Thread *thread, Tick duration)
 {
     thread->setState(ThreadState::Sleeping);
-    scheduleAfter(duration, makeSleepTimeout(thread),
-                  EventPriority::Scheduler,
-                  {{"sched.sleep",
-                    static_cast<std::uint64_t>(thread->id())},
-                   {}});
+    scheduleAfter(duration, EventPriority::Scheduler, kSleepTimeout,
+                  static_cast<std::uint64_t>(thread->id()));
 }
 
-EventQueue::Callback
-Scheduler::makePreemptCheck(CpuCore *target, Thread *waker)
+void
+Scheduler::fire(const snap::Tag &tag)
 {
-    return [this, target, waker] {
-        if (waker->state() == ThreadState::Ready
-            && target->currentThread() != nullptr
-            && target->currentThread()->priority() >= waker->priority()) {
-            sendReschedIpi(*target);
+    const snap::Token &t = tag.self;
+    switch (tag.site) {
+      case kPreemptCheck: {
+        CpuCore &target = *cores_.at(t.a);
+        Thread &waker = eventThread(t.b);
+        if (waker.state() == ThreadState::Ready
+            && target.currentThread() != nullptr
+            && target.currentThread()->priority() >= waker.priority()) {
+            sendReschedIpi(target);
         }
-    };
-}
-
-EventQueue::Callback
-Scheduler::makeSleepTimeout(Thread *thread)
-{
-    return [this, thread] {
-        if (thread->state() == ThreadState::Sleeping)
-            wake(thread, nullptr);
-    };
-}
-
-EventQueue::Callback
-Scheduler::makeIpiDelivery(CpuCore *target)
-{
-    // The delayed-IPI event re-materializes the interrupt at delivery
-    // time instead of capturing it: the rebuilt Irq is identical (the
-    // factory is a pure function of the core index) and this keeps
-    // the event snapshottable.
-    return [this, target] {
-        target->postInterrupt(makeReschedIrq(target->index()));
-    };
+        return;
+      }
+      case kIpiDelivery:
+        // The delayed IPI builds its interrupt at delivery time; the
+        // Irq is a pure function of the core index.
+        cores_.at(t.a)->postInterrupt(
+            makeReschedIrq(static_cast<int>(t.a)));
+        return;
+      case kSleepTimeout: {
+        Thread &thread = eventThread(t.a);
+        if (thread.state() == ThreadState::Sleeping)
+            wake(&thread, nullptr);
+        return;
+      }
+    }
 }
 
 void
@@ -345,8 +360,7 @@ Scheduler::snapSave(snap::Writer &w) const
 }
 
 void
-Scheduler::snapRestore(snap::Reader &r,
-                       const std::function<Thread *(int)> &threadById)
+Scheduler::snapRestore(snap::Reader &r)
 {
     snap::Access::restore(r, rng());
     if (r.u64() != queues_.size())
@@ -368,33 +382,6 @@ Scheduler::snapRestore(snap::Reader &r,
         resched_pending_[i] = r.b();
     ipis_sent_ = r.u64();
     migrations_ = r.u64();
-}
-
-EventQueue::Callback
-Scheduler::rebuildEvent(const snap::Tag &tag,
-                        const std::function<Thread *(int)> &threadById)
-{
-    const snap::Token &t = tag.self;
-    if (t.is("sched.preempt")) {
-        CpuCore *target = cores_.at(t.a);
-        Thread *waker = threadById(static_cast<int>(t.b));
-        if (waker == nullptr)
-            throw snap::SnapshotError(
-                "preempt check names unknown thread id "
-                + std::to_string(t.b));
-        return makePreemptCheck(target, waker);
-    }
-    if (t.is("sched.ipi"))
-        return makeIpiDelivery(cores_.at(t.a));
-    if (t.is("sched.sleep")) {
-        Thread *thread = threadById(static_cast<int>(t.a));
-        if (thread == nullptr)
-            throw snap::SnapshotError(
-                "sleep timeout names unknown thread id "
-                + std::to_string(t.a));
-        return makeSleepTimeout(thread);
-    }
-    throw snap::SnapshotError("unknown scheduler event tag");
 }
 
 std::uint64_t

@@ -46,8 +46,23 @@ struct SchedulerParams
 class Scheduler : public SimObject
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kPreemptCheck, kIpiDelivery, kSleepTimeout };
+    static constexpr const char *kSiteKinds[] = {
+        "sched.preempt", "sched.ipi", "sched.sleep"};
+
     Scheduler(SimContext &ctx, std::vector<CpuCore *> cores,
               const SchedulerParams &params);
+
+    /**
+     * Make @p thread known by id, so events and snapshots that name
+     * it can find it. start() does this too; the kernel calls it for
+     * every thread it creates.
+     */
+    void addThread(Thread *thread);
+
+    /** A thread passed to addThread() or start(), or nullptr. */
+    Thread *threadById(int id) const;
 
     /** Begin running a Created thread. */
     void start(Thread *thread);
@@ -100,20 +115,16 @@ class Scheduler : public SimObject
      */
     Irq makeReschedIrq(int core_index);
 
+    void fire(const snap::Tag &tag) override;
+
     void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r,
-                     const std::function<Thread *(int)> &threadById);
-    /** Rebuild the callback of a sched.* tagged event. */
-    EventQueue::Callback
-    rebuildEvent(const snap::Tag &tag,
-                 const std::function<Thread *(int)> &threadById);
+    void snapRestore(snap::Reader &r);
     std::uint64_t stateHash() const;
     /// @}
 
   private:
-    EventQueue::Callback makePreemptCheck(CpuCore *target, Thread *waker);
-    EventQueue::Callback makeSleepTimeout(Thread *thread);
-    EventQueue::Callback makeIpiDelivery(CpuCore *target);
+    /** The thread an event names; panics if it was never added. */
+    Thread &eventThread(std::uint64_t id) const;
     CpuCore *placeThread(Thread *thread);
     Thread *popBest(int core_index);
     Thread *peekBest(int core_index) const;
@@ -125,6 +136,10 @@ class Scheduler : public SimObject
     // HISS_STATE_EXEMPT(cores_): wiring; borrowed core pointers bound
     // at construction
     std::vector<CpuCore *> cores_;
+    // HISS_STATE_EXEMPT(threads_): wiring; id -> thread directory
+    // filled as threads are created and started, which a same-config
+    // restore target replays before restoring
+    std::vector<Thread *> threads_;
     // HISS_STATE_EXEMPT(params_): construction config, covered by the
     // snapshot config fingerprint
     SchedulerParams params_;

@@ -13,7 +13,7 @@ SsrDriver::SsrDriver(SimContext &ctx, const std::string &name,
                      const SsrDriverParams &params, RequestSource &source,
                      SystemServices &services, WorkQueue &work_queue,
                      Scheduler &scheduler)
-    : SimObject(ctx, name),
+    : SimObject(ctx, name, kSiteKinds),
       params_(params),
       source_(source),
       services_(services),
@@ -60,14 +60,14 @@ SsrDriver::armWatchdog(std::uint64_t id)
     Tracked &tracked = tracked_[id];
     tracked.watchdog =
         scheduleAfter(faultInjector()->plan().request_timeout,
-                      [this, id] { onWatchdog(id); },
-                      EventPriority::Default,
-                      {{"drv.wd", snap_index_, id}, {}});
+                      EventPriority::Default, kWatchdog, snap_index_, id);
 }
 
 void
-SsrDriver::onWatchdog(std::uint64_t id)
+SsrDriver::fire(const snap::Tag &tag)
 {
+    // kWatchdog, the only site: the recovery watchdog of request b.
+    const std::uint64_t id = tag.self.b;
     const auto it = tracked_.find(id);
     if (it == tracked_.end() || it->second.aborted)
         return;
@@ -286,16 +286,6 @@ SsrDriver::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     requests_drained_ = r.u64();
     requests_aborted_ = r.u64();
     completions_suppressed_ = r.u64();
-}
-
-EventQueue::Callback
-SsrDriver::rebuildEvent(const snap::Tag &tag)
-{
-    if (tag.self.is("drv.wd")) {
-        const std::uint64_t id = tag.self.b;
-        return [this, id] { onWatchdog(id); };
-    }
-    throw snap::SnapshotError("unknown driver event tag");
 }
 
 std::uint64_t

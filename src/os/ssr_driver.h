@@ -65,6 +65,10 @@ struct SsrDriverParams
 class SsrDriver : public SimObject
 {
   public:
+    /** Event sites, indexed into kSiteKinds. */
+    enum Site : std::uint32_t { kWatchdog };
+    static constexpr const char *kSiteKinds[] = {"drv.wd"};
+
     SsrDriver(SimContext &ctx, const std::string &name,
               const SsrDriverParams &params, RequestSource &source,
               SystemServices &services, WorkQueue &work_queue,
@@ -108,6 +112,8 @@ class SsrDriver : public SimObject
         return completions_suppressed_;
     }
 
+    void fire(const snap::Tag &tag) override;
+
     /// @name Snapshot support.
     /// @{
     /** Position in Kernel::drivers(), used in event/irq tags. */
@@ -121,8 +127,6 @@ class SsrDriver : public SimObject
 
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
-    /** Rebuild the callback of a "drv.wd" watchdog event. */
-    EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     std::uint64_t stateHash() const;
     /// @}
 
@@ -169,7 +173,6 @@ class SsrDriver : public SimObject
                          CpuCore &core);
     bool trackingEnabled() const;
     void armWatchdog(std::uint64_t id);
-    void onWatchdog(std::uint64_t id);
 
     // HISS_STATE_EXEMPT(params_): construction config, covered by the
     // snapshot config fingerprint

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/logging.h"
@@ -9,8 +11,8 @@
 namespace hiss {
 
 EventId
-EventQueue::schedule(Tick when, Callback fn, EventPriority prio,
-                     const snap::Tag &tag)
+EventQueue::schedule(Tick when, EventTarget &target, const snap::Tag &tag,
+                     EventPriority prio)
 {
     if (when < now_)
         panic("EventQueue: scheduling event in the past (%llu < %llu)",
@@ -25,22 +27,13 @@ EventQueue::schedule(Tick when, Callback fn, EventPriority prio,
         slots_.emplace_back();
     }
     Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    // Always overwrite, even with an empty tag: a stale tag from a
-    // previous tenant of this slot must never describe the new event.
+    s.target = &target;
     s.tag = tag;
     heap_.push_back(Entry{when, makeOrder(prio, next_seq_++), slot,
                           s.gen});
     std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
     ++num_pending_;
     return makeId(slot, s.gen);
-}
-
-EventId
-EventQueue::scheduleAfter(Tick delay, Callback fn, EventPriority prio,
-                          const snap::Tag &tag)
-{
-    return schedule(now_ + delay, std::move(fn), prio, tag);
 }
 
 bool
@@ -50,10 +43,8 @@ EventQueue::cancel(EventId id)
         return false;
     const std::uint32_t slot = slotOf(id);
     // Bumping the generation orphans the heap entry; it is skipped
-    // when it reaches the top, or culled earlier by compaction. The
-    // callback (and any resources it captured) dies right now.
+    // when it reaches the top, or culled earlier by compaction.
     ++slots_[slot].gen;
-    slots_[slot].fn.reset();
     free_slots_.push_back(slot);
     --num_pending_;
     ++dead_in_heap_;
@@ -112,14 +103,16 @@ EventQueue::step()
             continue;
         }
         const Entry e = popEntry();
-        // Move the callback out before invoking it: the callback may
-        // schedule new events, which can grow (reallocate) slots_.
-        Callback fn = std::move(slots_[e.slot].fn);
+        // Copy the event out before firing it: the body may schedule
+        // new events, which can grow (reallocate) slots_.
+        const Slot &s = slots_[e.slot];
+        EventTarget *const target = s.target;
+        const snap::Tag tag = s.tag;
         retireSlot(e);
         --num_pending_;
         now_ = e.when;
         ++executed_;
-        fn();
+        target->fire(tag);
         return true;
     }
     return false;
@@ -210,6 +203,34 @@ EventQueue::auditErrors() const
     return {};
 }
 
+std::vector<EventQueue::Entry>
+EventQueue::liveSorted(const std::vector<Entry> &heap,
+                       std::size_t pending) const
+{
+    std::vector<Entry> live;
+    live.reserve(pending);
+    for (const Entry &e : heap) {
+        if (!dead(e))
+            live.push_back(e);
+    }
+    std::sort(live.begin(), live.end(),
+              [](const Entry &a, const Entry &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  return a.order < b.order;
+              });
+    return live;
+}
+
+void
+EventQueue::forEachPending(
+    const std::function<void(const EventTarget &, const snap::Tag &)>
+        &visit) const
+{
+    for (const Entry &e : liveSorted(heap_, num_pending_))
+        visit(*slots_[e.slot].target, slots_[e.slot].tag);
+}
+
 void
 EventQueue::saveState(snap::Writer &w) const
 {
@@ -229,39 +250,36 @@ EventQueue::saveState(snap::Writer &w) const
     for (const std::uint32_t slot : free_slots_)
         w.u32(slot);
 
-    // Live events, sorted by (when, order) for a canonical byte
-    // stream; dead heap residue is dropped (unobservable).
-    std::vector<Entry> live;
-    live.reserve(num_pending_);
-    for (const Entry &e : heap_) {
-        if (!dead(e))
-            live.push_back(e);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  return a.order < b.order;
-              });
+    // Live events in canonical order; dead heap residue is dropped
+    // (unobservable). Each event is its target's name and its tag.
+    const std::vector<Entry> live = liveSorted(heap_, num_pending_);
     w.u64(live.size());
     for (const Entry &e : live) {
-        const snap::Tag &tag = slots_[e.slot].tag;
-        if (tag.empty())
+        const Slot &s = slots_[e.slot];
+        const char *target = s.target->targetName();
+        if (target == nullptr)
             throw snap::SnapshotError(
                 "cannot snapshot: live event at tick " +
-                std::to_string(e.when) +
-                " has no tag (untagged schedule site)");
+                std::to_string(e.when) + " is a plain callable ('" +
+                kCallableKind + "', EventQueue::schedule(Tick, F)); "
+                "only events on a named target can be saved");
         w.u64(e.when);
         w.u64(e.order);
         w.u32(e.slot);
         w.u32(e.gen);
-        w.tag(tag);
+        w.str(target);
+        w.tag(s.tag);
     }
 }
 
 void
-EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
+EventQueue::restoreState(snap::Reader &r,
+                         const std::vector<EventTarget *> &targets)
 {
+    std::unordered_map<std::string_view, EventTarget *> by_name;
+    for (EventTarget *target : targets)
+        by_name.emplace(target->targetName(), target);
+
     reset();
     r.section("events");
     now_ = r.u64();
@@ -275,23 +293,59 @@ EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
     for (std::uint32_t &slot : free_slots_)
         slot = r.u32();
 
+    // Every check below guards an invariant step() relies on; an
+    // entry that broke one would count as pending but never fire, so
+    // a run waiting for the queue to drain would spin forever.
+    std::vector<std::uint8_t> taken(slots_.size(), 0);
+    for (const std::uint32_t slot : free_slots_) {
+        if (slot < taken.size())
+            taken[slot] = 1;
+    }
     const std::uint64_t live = r.u64();
-    heap_.reserve(live);
     for (std::uint64_t i = 0; i < live; ++i) {
         Entry e;
         e.when = r.u64();
         e.order = r.u64();
         e.slot = r.u32();
         e.gen = r.u32();
+        const std::string name = r.str();
+        snap::Tag tag = r.tag();
+        const auto corrupt = [&e](const std::string &what) {
+            return snap::SnapshotError("snapshot corrupt: event at tick "
+                                       + std::to_string(e.when) + " "
+                                       + what);
+        };
         if (e.slot >= slots_.size())
-            throw snap::SnapshotError(
-                "snapshot corrupt: event references slot " +
-                std::to_string(e.slot) + " beyond table size " +
-                std::to_string(slots_.size()));
-        const snap::Tag tag = r.tag();
+            throw corrupt("references slot " + std::to_string(e.slot) +
+                          " beyond table size " +
+                          std::to_string(slots_.size()));
+        if (slots_[e.slot].gen != e.gen)
+            throw corrupt("has generation " + std::to_string(e.gen) +
+                          " but slot " + std::to_string(e.slot) +
+                          " has " + std::to_string(slots_[e.slot].gen));
+        if (taken[e.slot] != 0)
+            throw corrupt("reuses slot " + std::to_string(e.slot) +
+                          ", already free or live");
+        taken[e.slot] = 1;
+        const auto found = by_name.find(name);
+        if (found == by_name.end())
+            throw corrupt("names unknown target '" + name + "'");
+        EventTarget *target = found->second;
+        const SiteKinds kinds = target->siteKinds();
+        std::uint32_t site = 0;
+        while (site < kinds.size()
+               && (tag.self.kind == nullptr
+                   || std::strcmp(kinds[site], tag.self.kind) != 0))
+            ++site;
+        if (site == kinds.size())
+            throw corrupt(std::string("names unknown site '") +
+                          (tag.self.kind != nullptr ? tag.self.kind : "")
+                          + "' of target '" + name + "'");
+        tag.self.kind = kinds[site];
+        tag.site = site;
         Slot &s = slots_[e.slot];
+        s.target = target;
         s.tag = tag;
-        s.fn = resolve(tag);
         heap_.push_back(e);
     }
     // Heap layout after make_heap may differ from the saved queue's
@@ -300,6 +354,10 @@ EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
     std::make_heap(heap_.begin(), heap_.end(), EntryCompare{});
     num_pending_ = live;
     dead_in_heap_ = 0;
+    const std::string audit = auditErrors();
+    if (!audit.empty())
+        throw snap::SnapshotError("snapshot corrupt: event table: " +
+                                  audit);
 }
 
 std::uint64_t
@@ -316,25 +374,17 @@ EventQueue::stateHash() const
     for (const std::uint32_t slot : free_slots_)
         h.mix(slot);
 
-    std::vector<Entry> live;
-    live.reserve(num_pending_);
-    for (const Entry &e : heap_) {
-        if (!dead(e))
-            live.push_back(e);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  return a.order < b.order;
-              });
+    const std::vector<Entry> live = liveSorted(heap_, num_pending_);
     h.mix(live.size());
     for (const Entry &e : live) {
         h.mix(e.when);
         h.mix(e.order);
         h.mix(e.slot);
         h.mix(e.gen);
-        const snap::Tag &tag = slots_[e.slot].tag;
+        const Slot &s = slots_[e.slot];
+        const char *target = s.target->targetName();
+        h.mixString(target != nullptr ? target : "");
+        const snap::Tag &tag = s.tag;
         h.mixString(tag.self.kind != nullptr ? tag.self.kind : "");
         h.mix(tag.self.a);
         h.mix(tag.self.b);

@@ -2,33 +2,47 @@
  * @file
  * Discrete-event simulation engine.
  *
- * A single EventQueue drives the whole simulated SoC. Events are
- * callbacks scheduled at an absolute tick with a priority; events at
+ * A single EventQueue drives the whole simulated SoC. An event is
+ * data: a snap::Tag naming its schedule site and the integers the
+ * site's body needs, plus the EventTarget whose fire() runs that body.
+ * Events are scheduled at an absolute tick with a priority; events at
  * the same (tick, priority) execute in scheduling (FIFO) order, which
  * keeps runs deterministic. Scheduling returns an EventId that can be
  * used to cancel the event before it fires.
  *
+ * Because the tag is the whole event, saveState() writes each live
+ * event's target name and tag, and restoreState() maps the name back
+ * to the target through one table.
+ *
  * Hot-path design: an EventId packs a slot-table index and a
  * generation counter, so cancel()/pending() are O(1) array probes
  * instead of hash-set lookups, and no per-event bookkeeping survives
- * execution. Callbacks use EventCallback (inline small-buffer
- * storage, so scheduling does not heap-allocate) and live in the
- * slot table; the heap orders 24-byte POD keys, so every sift is a
- * few trivial copies with no callback moves. Cancelled events free
- * their callback immediately and their key is deleted lazily when it
- * surfaces at the top of the heap; a compaction pass keeps heap
- * memory bounded under cancel-heavy workloads.
+ * execution. The slot table holds each event's target and tag, and
+ * the heap orders 24-byte POD keys, so every sift is a few trivial
+ * copies and nothing allocates per event. step() dispatches with one
+ * virtual call; each target switches on Tag::site, a small integer,
+ * never on the kind string. Cancelled events are deleted lazily when
+ * their key surfaces at the top of the heap; a compaction pass keeps
+ * heap memory bounded under cancel-heavy workloads.
+ *
+ * Plain callables (tests, examples, microbenchmarks) use the
+ * schedule(Tick, F) overload: F's bytes ride in the tag's payload
+ * words and a per-type trampoline is the target. Such events cannot
+ * be saved.
  */
 
 #ifndef HISS_SIM_EVENT_QUEUE_H_
 #define HISS_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <new>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "sim/event_callback.h"
 #include "sim/ticks.h"
 #include "snap/snap.h"
 
@@ -54,11 +68,32 @@ enum class EventPriority : int {
     Stats = 40,     ///< Sampling/accounting; observes settled state.
 };
 
+/** Site id -> kind string table of one EventTarget. */
+using SiteKinds = std::span<const char *const>;
+
+/** Something pending events dispatch to. */
+class EventTarget
+{
+  public:
+    virtual ~EventTarget() = default;
+
+    /** Run the event @p tag describes (switch on tag.site). */
+    virtual void fire(const snap::Tag &tag) = 0;
+
+    /** Stable identity written into snapshots; nullptr for targets
+     *  whose events cannot be saved. */
+    virtual const char *targetName() const = 0;
+
+    /** The kinds of the sites fire() handles, indexed by Tag::site. */
+    virtual SiteKinds siteKinds() const = 0;
+};
+
 /** The central discrete-event queue. */
 class EventQueue
 {
   public:
-    using Callback = EventCallback;
+    /** Kind of every event scheduled through the callable overload. */
+    static constexpr const char *kCallableKind = "event.callable";
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -68,22 +103,47 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p fn to run at absolute tick @p when (must be >= now).
-     * @param tag snapshot identity of the callback: names the
-     *        schedule site plus the integers its closure captured so
-     *        saveState() can serialize the event and restoreState()
-     *        can rebuild it. Events scheduled without a tag are fine
-     *        as long as none is pending when a snapshot is taken.
+     * Schedule the event @p tag on @p target at absolute tick @p when
+     * (must be >= now). tag.site must index tag.self.kind in
+     * target.siteKinds().
      * @return an EventId usable with cancel().
      */
-    EventId schedule(Tick when, Callback fn,
-                     EventPriority prio = EventPriority::Default,
-                     const snap::Tag &tag = {});
+    EventId schedule(Tick when, EventTarget &target, const snap::Tag &tag,
+                     EventPriority prio = EventPriority::Default);
 
-    /** Schedule @p fn to run @p delay ticks from now. */
-    EventId scheduleAfter(Tick delay, Callback fn,
-                          EventPriority prio = EventPriority::Default,
-                          const snap::Tag &tag = {});
+    /**
+     * Schedule a plain callable at absolute tick @p when. F must be
+     * trivially copyable and at most 24 bytes: its bytes are stored
+     * in the tag's three payload words, so the event takes the same
+     * slot and dispatch as any other, with no heap path. Such an
+     * event cannot be saved (saveState() refuses it).
+     */
+    template <class F>
+        requires std::is_invocable_r_v<void, F &>
+    EventId
+    schedule(Tick when, F fn, EventPriority prio = EventPriority::Default)
+    {
+        static_assert(std::is_trivially_copyable_v<F>,
+                      "schedule(Tick, F): F must be trivially copyable");
+        static_assert(sizeof(F) <= 3 * sizeof(std::uint64_t)
+                          && alignof(F) <= alignof(std::uint64_t),
+                      "schedule(Tick, F): F must fit in 24 bytes");
+        std::uint64_t words[3] = {0, 0, 0};
+        std::memcpy(words, &fn, sizeof(F));
+        snap::Tag tag;
+        tag.self = {kCallableKind, words[0], words[1], words[2]};
+        return schedule(when, callableTarget<F>, tag, prio);
+    }
+
+    /** Schedule a plain callable @p delay ticks from now. */
+    template <class F>
+        requires std::is_invocable_r_v<void, F &>
+    EventId
+    scheduleAfter(Tick delay, F fn,
+                  EventPriority prio = EventPriority::Default)
+    {
+        return schedule(now_ + delay, fn, prio);
+    }
 
     /**
      * Cancel a pending event. @return true if the event was pending
@@ -144,29 +204,31 @@ class EventQueue
      */
     std::string auditErrors() const;
 
-    /**
-     * Rebuilds the callback for a restored event from its tag.
-     * Implemented by the system layer, which dispatches on
-     * `tag.self.kind` to the owning component.
-     */
-    using TagResolver = std::function<Callback(const snap::Tag &)>;
+    /** Visit every live event's target and tag (tests, tooling). */
+    void forEachPending(
+        const std::function<void(const EventTarget &, const snap::Tag &)>
+            &visit) const;
 
     /**
      * Serialize the queue: time/sequence counters, the exact slot
      * table and free-list layout (so EventIds held by components
      * stay valid verbatim across restore), and every live event with
-     * its tag. @throws snap::SnapshotError if a live event carries
-     * no tag (its callback could not be rebuilt).
+     * its target's name and its tag. @throws snap::SnapshotError if a
+     * live event's target has no name (a plain callable).
      */
     void saveState(snap::Writer &w) const;
 
     /**
-     * Restore a queue saved by saveState() into this (empty) queue,
-     * rebuilding each pending callback via @p resolve. The heap is
-     * rebuilt with std::make_heap; the pop order is identical to the
-     * saved queue's because (when, order) keys are unique.
+     * Restore a queue saved by saveState() into this queue, mapping
+     * each event's target name to one of @p targets and its kind to a
+     * site of that target. The heap is rebuilt with std::make_heap;
+     * the pop order is identical to the saved queue's because (when,
+     * order) keys are unique. @throws snap::SnapshotError on an
+     * unknown target or site, or an event table that is not
+     * self-consistent.
      */
-    void restoreState(snap::Reader &r, const TagResolver &resolve);
+    void restoreState(snap::Reader &r,
+                      const std::vector<EventTarget *> &targets);
 
     /**
      * Order-insensitive digest of queue state: counters, slot/free
@@ -176,6 +238,25 @@ class EventQueue
     std::uint64_t stateHash() const;
 
   private:
+    /** The target of every schedule(Tick, F) event of one type F. */
+    template <class F>
+    struct CallableTarget : EventTarget
+    {
+        void
+        fire(const snap::Tag &tag) override
+        {
+            const std::uint64_t words[3] = {tag.self.a, tag.self.b,
+                                            tag.self.c};
+            alignas(F) unsigned char bytes[sizeof(F)];
+            std::memcpy(bytes, words, sizeof(F));
+            (*std::launder(reinterpret_cast<F *>(bytes)))();
+        }
+        const char *targetName() const override { return nullptr; }
+        SiteKinds siteKinds() const override { return {&kCallableKind, 1}; }
+    };
+    template <class F>
+    static inline CallableTarget<F> callableTarget{};
+
     /**
      * Heap key: 24-byte POD. `order` packs (priority, FIFO sequence)
      * into one integer — priority in the top 16 bits, a monotonic
@@ -244,16 +325,18 @@ class EventQueue
     void dropDeadTop();
     void maybeCompact();
 
-    /**
-     * One pending event: its generation and its callback. The
-     * callback is constructed here at schedule time and never moved
-     * until execution (or destroyed at cancellation).
-     */
+    /** The live entries of @p heap (@p pending of them) sorted by
+     *  (when, order): the canonical order saveState() writes and
+     *  stateHash() mixes. */
+    std::vector<Entry> liveSorted(const std::vector<Entry> &heap,
+                                  std::size_t pending) const;
+
+    /** One event: its generation, its target and its tag, written at
+     *  schedule time and read when it fires. */
     struct Slot
     {
         std::uint32_t gen = 1;
-        Callback fn;
-        /** Snapshot identity of fn; rewritten on every schedule(). */
+        EventTarget *target = nullptr;
         snap::Tag tag;
     };
 

@@ -8,9 +8,17 @@
 
 namespace hiss {
 
-SimObject::SimObject(SimContext &ctx, std::string name)
-    : ctx_(ctx), name_(std::move(name)), rng_(ctx.seed, name_)
+SimObject::SimObject(SimContext &ctx, std::string name, SiteKinds sites)
+    : ctx_(ctx), name_(std::move(name)), sites_(sites),
+      rng_(ctx.seed, name_)
 {
+}
+
+void
+SimObject::fire(const snap::Tag &tag)
+{
+    panic("%s: no event site '%s'", name_.c_str(),
+          tag.self.kind != nullptr ? tag.self.kind : "");
 }
 
 void

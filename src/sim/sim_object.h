@@ -4,7 +4,10 @@
  *
  * A SimObject has a hierarchical name, shares the system's EventQueue
  * and StatRegistry, and owns a deterministic Rng stream derived from
- * the experiment seed and its name.
+ * the experiment seed and its name. It is also an EventTarget: a
+ * component that schedules events declares its sites (an enum plus a
+ * kind-string table) and runs each site's body in fire(). Its name is
+ * its identity in snapshots.
  */
 
 #ifndef HISS_SIM_SIM_OBJECT_H_
@@ -38,16 +41,27 @@ struct SimContext
 };
 
 /** Base class for every simulated component. */
-class SimObject
+class SimObject : public EventTarget
 {
   public:
-    SimObject(SimContext &ctx, std::string name);
-    virtual ~SimObject() = default;
+    /** @param sites kind strings of the sites fire() handles, indexed
+     *  by site id (static storage; empty for objects that schedule
+     *  nothing). */
+    SimObject(SimContext &ctx, std::string name, SiteKinds sites = {});
 
     SimObject(const SimObject &) = delete;
     SimObject &operator=(const SimObject &) = delete;
 
     const std::string &name() const { return name_; }
+
+    /// @name EventTarget.
+    /// @{
+    /** Objects that schedule events override this; the default
+     *  panics, since no event can name an object without sites. */
+    void fire(const snap::Tag &tag) override;
+    const char *targetName() const override { return name_.c_str(); }
+    SiteKinds siteKinds() const override { return sites_; }
+    /// @}
 
     /** Current simulated time. */
     Tick now() const { return ctx_.events.now(); }
@@ -71,14 +85,19 @@ class SimObject
     /** The fault injector, or nullptr in fault-free runs. */
     FaultInjector *faultInjector() const { return ctx_.faults; }
 
-    /** Schedule a member callback after @p delay ticks. */
+    /**
+     * Schedule this object's site @p site after @p delay ticks: fire()
+     * will see a tag whose self token is (siteKinds()[site], a, b, c)
+     * and whose arg token is @p arg.
+     */
     EventId
-    scheduleAfter(Tick delay, EventQueue::Callback fn,
-                  EventPriority prio = EventPriority::Default,
-                  const snap::Tag &tag = {})
+    scheduleAfter(Tick delay, EventPriority prio, std::uint32_t site,
+                  std::uint64_t a = 0, std::uint64_t b = 0,
+                  std::uint64_t c = 0, const snap::Token &arg = {})
     {
-        return ctx_.events.scheduleAfter(delay, std::move(fn), prio,
-                                         tag);
+        return ctx_.events.schedule(
+            now() + delay, *this,
+            snap::Tag{{sites_[site], a, b, c}, arg, site}, prio);
     }
 
     /** Emit a trace line tagged with this object's name. */
@@ -88,6 +107,7 @@ class SimObject
   private:
     SimContext &ctx_;
     std::string name_;
+    SiteKinds sites_;
     Rng rng_;
 };
 

@@ -230,7 +230,12 @@ writeFileAtomic(const std::string &path, const std::string &blob)
     // The temporary lives in the target's directory so the rename
     // cannot cross a filesystem boundary (rename(2) atomicity).
     const std::string tmp = path + ".tmp";
-    writeFile(tmp, blob);
+    try {
+        writeFile(tmp, blob);
+    } catch (const SnapshotError &) {
+        std::remove(tmp.c_str());
+        throw SnapshotError("cannot write '" + path + "'");
+    }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         throw SnapshotError("cannot rename '" + tmp + "' to '" + path

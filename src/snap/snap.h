@@ -9,19 +9,20 @@
  * little-endian and fixed-width, so a snapshot taken on one host
  * restores bit-identically on any other.
  *
- * Event callbacks cannot be serialized as bytes; instead every
- * pending event carries a small Tag naming its schedule site plus
- * the integer arguments its closure captured, and restore rebuilds
- * the callback by dispatching the tag to the component that owns the
- * site (see EventQueue::restoreState and the per-component
- * rebuildEvent methods). Tags support one level of nesting: `arg`
- * carries the token of a wrapped inner callback (e.g. an IOMMU walk
- * event wrapping a GPU translate-completion callback).
+ * A pending event is a Tag: its schedule site plus the integers the
+ * site's body needs. The event queue dispatches the tag to its
+ * target's fire(), so a saved event is the event itself: the
+ * snapshot writes the target's name and the tag, and restore maps
+ * the name back to the target (see EventQueue::restoreState). Tags
+ * support one level of nesting: `arg` carries a further token the
+ * site hands on (e.g. the GPU's translate-completion token inside an
+ * IOMMU walk event).
  *
  * Failure model: any structural problem — bad magic, version or
- * fingerprint mismatch, truncation, checksum failure, or a live
- * event without a tag — throws SnapshotError; restore never
- * silently produces a diverging simulation.
+ * fingerprint mismatch, truncation, checksum failure, an inconsistent
+ * event table, or an unknown event target or site — throws
+ * SnapshotError; restore never silently produces a diverging
+ * simulation.
  */
 
 #ifndef HISS_SNAP_SNAP_H_
@@ -45,16 +46,17 @@ class SnapshotError : public std::runtime_error
 };
 
 /** Snapshot format version; bump on any layout change (v2: the IOMMU
- *  section carries the IOTLB FIFO ring only, not its probe table). */
-inline constexpr std::uint32_t kFormatVersion = 2;
+ *  section carries the IOTLB FIFO ring only, not its probe table;
+ *  v3: each pending event names its target). */
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** File magic ("HISSNAP" + format epoch). */
 inline constexpr char kMagic[8] = {'H', 'I', 'S', 'S', 'N', 'A', 'P', '1'};
 
 /**
- * Names one rebuildable callback: a schedule-site kind (a string
+ * Names one schedule site or callback producer: a kind (a string
  * literal with static storage on the save side; interned snapshot
- * storage on the restore side) plus up to three captured integers.
+ * storage on the restore side) plus up to three integers.
  */
 struct Token
 {
@@ -73,11 +75,17 @@ struct Token
     }
 };
 
-/** An event tag: the site itself plus an optional wrapped callback. */
+/**
+ * A pending event: the site itself plus an optional token the site
+ * hands on. `site` is the index of self.kind in the target's
+ * siteKinds() table, so fire() dispatches with a switch instead of a
+ * string compare; it is derived from the kind and never serialized.
+ */
 struct Tag
 {
     Token self;
     Token arg;
+    std::uint32_t site = 0;
 
     bool empty() const { return self.empty(); }
 };
@@ -180,10 +188,11 @@ class Writer
         buf_.append(s);
     }
 
-    /** Write a callback token, interning its kind string. */
+    /** Write a token, interning its kind string. */
     void token(const Token &t);
 
-    /** Write a full event tag (site token + wrapped-callback token). */
+    /** Write a full event tag (site token + arg token; the site id is
+     *  derived from the kind and not written). */
     void
     tag(const Tag &t)
     {

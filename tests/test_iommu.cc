@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <list>
 #include <memory>
 #include <string>
@@ -14,6 +15,31 @@
 
 namespace hiss {
 namespace {
+
+/**
+ * A fake translate client: each token names (in b) the handler its
+ * completion runs, so tests keep per-request callbacks.
+ */
+struct FakeClient : TranslateClient
+{
+    void
+    translated(const snap::Token &token, TranslateResult result) override
+    {
+        const auto &handler = handlers.at(token.b);
+        if (handler)
+            handler(result);
+    }
+
+    /** A device-0 token whose completion runs @p handler. */
+    snap::Token
+    token(std::function<void(TranslateResult)> handler = nullptr)
+    {
+        handlers.push_back(std::move(handler));
+        return {"test.xlate", 0, handlers.size() - 1};
+    }
+
+    std::vector<std::function<void(TranslateResult)>> handlers;
+};
 
 class IommuTest : public ::testing::Test
 {
@@ -30,6 +56,7 @@ class IommuTest : public ::testing::Test
         kernel = std::make_unique<Kernel>(ctx, cores, CpuCoreParams{},
                                           kparams);
         iommu = std::make_unique<Iommu>(ctx, *kernel, params);
+        iommu->attachClient(0, client);
         driver = &kernel->attachSsrSource("iommu_drv", *iommu,
                                           SsrDriverParams{});
         iommu->setDriver(driver);
@@ -38,6 +65,7 @@ class IommuTest : public ::testing::Test
     EventQueue events;
     StatRegistry stats;
     SimContext ctx;
+    FakeClient client;
     std::unique_ptr<Kernel> kernel;
     std::unique_ptr<Iommu> iommu;
     SsrDriver *driver = nullptr;
@@ -49,10 +77,10 @@ TEST_F(IommuTest, MappedPageResolvesViaWalkThenIotlb)
     kernel->gpuPageTable().map(50, 7);
     int done = 0;
     Tick first_done = 0;
-    iommu->translate(50, [&](TranslateResult) {
+    iommu->translate(50, client.token([&](TranslateResult) {
         ++done;
         first_done = events.now();
-    });
+    }));
     events.runUntil(usToTicks(10));
     EXPECT_EQ(done, 1);
     EXPECT_EQ(first_done, iommu->params().walk_latency);
@@ -61,7 +89,9 @@ TEST_F(IommuTest, MappedPageResolvesViaWalkThenIotlb)
     // Second access: IOTLB hit, much faster.
     const Tick start = events.now();
     Tick second_done = 0;
-    iommu->translate(50, [&](TranslateResult) { second_done = events.now(); });
+    iommu->translate(50, client.token([&](TranslateResult) {
+        second_done = events.now();
+    }));
     events.runUntil(start + usToTicks(10));
     EXPECT_EQ(second_done - start, iommu->params().iotlb_hit_latency);
     EXPECT_EQ(iommu->iotlbHits(), 1u);
@@ -72,7 +102,7 @@ TEST_F(IommuTest, UnmappedPageFaultsThroughFullChain)
 {
     build();
     int done = 0;
-    iommu->translate(99, [&](TranslateResult) { ++done; });
+    iommu->translate(99, client.token([&](TranslateResult) { ++done; }));
     events.runUntil(msToTicks(2));
     EXPECT_EQ(done, 1);
     EXPECT_EQ(iommu->pprsIssued(), 1u);
@@ -92,10 +122,9 @@ TEST_F(IommuTest, PinnedWalksNeedNoHostAndNoFrames)
     constexpr int kPages = 64;
     int ok = 0;
     for (Vpn v = 0; v < kPages; ++v)
-        iommu->translate(
-            1000 + v,
-            [&](TranslateResult r) { ok += r == TranslateResult::Ok; },
-            /*allow_fault=*/false);
+        iommu->translate(1000 + v, client.token([&](TranslateResult r) {
+            ok += r == TranslateResult::Ok;
+        }), /*allow_fault=*/false);
     events.runUntil(usToTicks(10));
     EXPECT_EQ(ok, kPages);
     EXPECT_EQ(iommu->pprsIssued(), 0u);
@@ -111,12 +140,12 @@ TEST_F(IommuTest, IotlbEvictsFifoWhenFull)
     build(params);
     for (Vpn v = 0; v < 6; ++v) {
         kernel->gpuPageTable().map(v, v + 100);
-        iommu->translate(v, [](TranslateResult) {});
+        iommu->translate(v, client.token());
         events.runUntil(events.now() + usToTicks(2));
     }
     // vpns 0 and 1 were evicted; re-access misses the IOTLB.
     const std::uint64_t misses_before = iommu->iotlbMisses();
-    iommu->translate(0, [](TranslateResult) {});
+    iommu->translate(0, client.token());
     events.runUntil(events.now() + usToTicks(2));
     EXPECT_EQ(iommu->iotlbMisses(), misses_before + 1);
 }
@@ -128,7 +157,7 @@ TEST_F(IommuTest, SingleCoreSteeringTargetsOnlyThatCore)
     params.steer_core = 2;
     build(params);
     for (Vpn v = 500; v < 510; ++v) {
-        iommu->translate(v, [](TranslateResult) {});
+        iommu->translate(v, client.token());
         events.runUntil(events.now() + usToTicks(60));
     }
     events.runUntil(events.now() + msToTicks(1));
@@ -154,10 +183,10 @@ TEST_F(IommuTest, CoalescingBatchesPprsIntoOneMsi)
     params.coalesce_window = usToTicks(13);
     build(params);
     // Three faults well inside one window.
-    iommu->translate(700, [](TranslateResult) {});
+    iommu->translate(700, client.token());
     events.runUntil(usToTicks(1));
-    iommu->translate(701, [](TranslateResult) {});
-    iommu->translate(702, [](TranslateResult) {});
+    iommu->translate(701, client.token());
+    iommu->translate(702, client.token());
     events.runUntil(usToTicks(5));
     // No MSI yet: the window is still open.
     EXPECT_EQ(iommu->msisRaised(), 0u);
@@ -174,7 +203,7 @@ TEST_F(IommuTest, CoalescingBurstThresholdRaisesEarly)
     params.coalesce_burst = 4;             // ...but a small burst cap.
     build(params);
     for (Vpn v = 800; v < 804; ++v)
-        iommu->translate(v, [](TranslateResult) {});
+        iommu->translate(v, client.token());
     events.runUntil(usToTicks(50));
     EXPECT_GE(iommu->msisRaised(), 1u); // Raised well before 5 ms.
 }
@@ -190,7 +219,7 @@ TEST_F(IommuTest, CoalescingValidation)
 TEST_F(IommuTest, FaultLatencyDistributionSampled)
 {
     build();
-    iommu->translate(900, [](TranslateResult) {});
+    iommu->translate(900, client.token());
     events.runUntil(msToTicks(2));
     const auto *latency = dynamic_cast<const Distribution *>(
         stats.find("iommu.fault_latency"));
@@ -203,8 +232,8 @@ TEST_F(IommuTest, DuplicateFaultsBothResolve)
 {
     build();
     int done = 0;
-    iommu->translate(950, [&](TranslateResult) { ++done; });
-    iommu->translate(950, [&](TranslateResult) { ++done; });
+    iommu->translate(950, client.token([&](TranslateResult) { ++done; }));
+    iommu->translate(950, client.token([&](TranslateResult) { ++done; }));
     events.runUntil(msToTicks(2));
     EXPECT_EQ(done, 2);
     EXPECT_TRUE(kernel->gpuPageTable().isMapped(950));
@@ -214,9 +243,11 @@ TEST_F(IommuTest, PasidsFaultIntoSeparateAddressSpaces)
 {
     build();
     int done = 0;
-    iommu->translate(0x111, [&](TranslateResult) { ++done; }, true, /*pasid=*/0);
+    iommu->translate(0x111, client.token([&](TranslateResult) { ++done; }),
+                     true, /*pasid=*/0);
     events.runUntil(msToTicks(2));
-    iommu->translate(0x222, [&](TranslateResult) { ++done; }, true, /*pasid=*/7);
+    iommu->translate(0x222, client.token([&](TranslateResult) { ++done; }),
+                     true, /*pasid=*/7);
     events.runUntil(msToTicks(4));
     EXPECT_EQ(done, 2);
     EXPECT_TRUE(kernel->gpuPageTable(0).isMapped(0x111));
@@ -238,10 +269,10 @@ TEST_F(IommuTest, AdaptiveCoalescingShortensSparseStreamWait)
     int done = 0;
     Tick done_at = 0;
     const Tick start = events.now();
-    iommu->translate(0x800, [&](TranslateResult) {
+    iommu->translate(0x800, client.token([&](TranslateResult) {
         ++done;
         done_at = events.now();
-    });
+    }));
     events.runUntil(start + msToTicks(2));
     ASSERT_EQ(done, 1);
     const Tick fixed_window_floor = start + usToTicks(13);
@@ -260,6 +291,7 @@ struct BatchHarness
         kernel = std::make_unique<Kernel>(ctx, 4, CpuCoreParams{},
                                           kparams);
         iommu = std::make_unique<Iommu>(ctx, *kernel, params);
+        iommu->attachClient(0, client);
         SsrDriver &driver = kernel->attachSsrSource(
             "iommu_drv", *iommu, SsrDriverParams{});
         iommu->setDriver(&driver);
@@ -268,6 +300,7 @@ struct BatchHarness
     EventQueue events;
     StatRegistry stats;
     SimContext ctx;
+    FakeClient client;
     std::unique_ptr<Kernel> kernel;
     std::unique_ptr<Iommu> iommu;
 };
@@ -297,7 +330,7 @@ expectBatchMatchesScalar(IommuParams params)
         for (Vpn v = 10; v <= 13; ++v)
             h.kernel->gpuPageTable().map(v, v + 100);
         for (const Vpn v : warm) {
-            h.iommu->translate(v, [](TranslateResult) {});
+            h.iommu->translate(v, h.client.token());
             h.events.runUntil(h.events.now() + usToTicks(5));
         }
         const Tick issue_at = h.events.now();
@@ -307,18 +340,18 @@ expectBatchMatchesScalar(IommuParams params)
             for (std::size_t i = 0; i < mix.size(); ++i) {
                 const int idx = static_cast<int>(i);
                 reqs.push_back(
-                    {mix[i], [&log, idx, &h](TranslateResult) {
+                    {mix[i], h.client.token([&log, idx, &h](TranslateResult) {
                          log.emplace_back(idx, h.events.now());
-                     }, {}});
+                     })});
             }
             h.iommu->translateBatch(std::move(reqs));
         } else {
             for (std::size_t i = 0; i < mix.size(); ++i) {
                 const int idx = static_cast<int>(i);
                 h.iommu->translate(
-                    mix[i], [&log, idx, &h](TranslateResult) {
+                    mix[i], h.client.token([&log, idx, &h](TranslateResult) {
                         log.emplace_back(idx, h.events.now());
-                    });
+                    }));
             }
         }
         h.events.runUntil(issue_at + msToTicks(4));
@@ -358,7 +391,7 @@ TEST_F(IommuTest, TranslateBatchEmptyAndSingleton)
     kernel->gpuPageTable().map(42, 7);
     int done = 0;
     std::vector<Iommu::TranslateRequest> one;
-    one.push_back({42, [&](TranslateResult) { ++done; }, {}});
+    one.push_back({42, client.token([&](TranslateResult) { ++done; })});
     iommu->translateBatch(std::move(one));
     events.runUntil(events.now() + usToTicks(10));
     EXPECT_EQ(done, 1);
@@ -404,7 +437,7 @@ TEST_F(IommuTest, FlatIotlbMatchesReferenceFifoModel)
             ++expect_hits;
         else
             ++expect_misses;
-        iommu->translate(vpn, [](TranslateResult) {});
+        iommu->translate(vpn, client.token());
         // Quiesce so the miss's insert lands before the next probe,
         // matching the reference model's synchronous insert.
         events.runUntil(events.now() + usToTicks(2));
@@ -476,7 +509,7 @@ TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
         std::uint64_t inserts = 0;
         const auto issue = [](BatchHarness &h, const Op &op) {
             for (int k = 0; k < (op.duplicate ? 2 : 1); ++k)
-                h.iommu->translate(op.vpn, [](TranslateResult) {},
+                h.iommu->translate(op.vpn, h.client.token(),
                                    /*allow_fault=*/false);
             // Quiesce so the inserts land before the next probe.
             h.events.runUntil(h.events.now() + usToTicks(2));
@@ -490,9 +523,7 @@ TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
                 live.iommu->snapSave(w);
                 twin = std::make_unique<BatchHarness>(params);
                 snap::Reader r(w.buffer());
-                twin->iommu->snapRestore(r, [](const snap::Token &) {
-                    return Iommu::TranslateCallback{};
-                });
+                twin->iommu->snapRestore(r);
                 ASSERT_TRUE(r.atEnd());
                 ASSERT_EQ(twin->iommu->stateHash(),
                           live.iommu->stateHash());

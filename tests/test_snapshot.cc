@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/hiss.h"
 #include "snap/snap.h"
@@ -220,6 +223,113 @@ TEST(Snapshot, FileRoundTrip)
     twin.sys->restoreSnapshotFile(path);
     EXPECT_EQ(twin.sys->stateHash(), rig.sys->stateHash());
     std::remove(path.c_str());
+}
+
+/**
+ * A fault-armed rig on which every event site fires: canneal plus a
+ * looping demand-paged ubench, and a second accelerator (device id 1) whose
+ * short looping kernel hits the IOTLB and sends a signal at each
+ * completion. Coalescing, a small PPR queue and aggressive fault
+ * rates reach the coalesce, retry, watchdog and re-send sites.
+ */
+Rig
+buildSiteRig()
+{
+    SystemConfig config;
+    config.seed = 3;
+    config.check_invariants = false;
+    config.iommu.coalescing = true;
+    FaultPlan plan = armedPlan();
+    plan.ppr_queue_capacity = 8;
+    plan.signal_loss_prob = 0.3;
+    plan.max_retries = 8;
+    // Long enough that ubench's fault flood does not abort every
+    // wavefront, short enough that some requests still time out.
+    plan.request_timeout = msToTicks(1);
+    config.fault = plan;
+    Rig rig;
+    rig.sys = std::make_unique<HeteroSystem>(config);
+    // Short fork-join phases: threads waking at each join find busy
+    // cores, which reaches the scheduler's deferred preempt check.
+    CpuAppParams app_params = parsec::params("canneal");
+    app_params.iterations = 200;
+    app_params.parallel_insts = 100'000;
+    app_params.serial_insts = 0;
+    rig.app = &rig.sys->addCpuApp(app_params);
+    rig.app->start();
+    rig.sys->launchGpu(gpu_suite::params("ubench"), true, true);
+    GpuWorkloadParams small;
+    small.name = "small";
+    small.wavefronts = 2;
+    small.pages = 4;
+    small.main_visits = 16;
+    small.chunks_per_visit = 2;
+    small.reuse_fraction = 0.7;
+    SignalQueue *signals = &rig.sys->signalQueue();
+    rig.sys->addAccelerator().launch(small, true, true, [signals] {
+        for (int i = 0; i < 4; ++i)
+            signals->sendSignal(nullptr);
+    });
+    return rig;
+}
+
+// Cuts the site rig wherever a site kind is pending that no earlier
+// cut carried (plus a few regular cuts), restores a twin from each
+// cut, and requires every twin to finish bit-identical to the run
+// that never stopped. Every kind a target's fire() handles must have
+// been pending at some cut, so a new site without snapshot coverage
+// fails here by name.
+TEST(Snapshot, EverySiteKindCrossesASnapshot)
+{
+    const Tick end = msToTicks(8);
+    struct Cut
+    {
+        Tick at;
+        std::string blob;
+        std::uint64_t hash;
+    };
+    std::vector<Cut> cuts;
+    std::set<std::string> seen;
+    Rig original = buildSiteRig();
+    Tick next_regular = 0;
+    while (original.sys->now() < end) {
+        original.sys->runUntil(original.sys->now() + 100);
+        std::set<std::string> pending;
+        original.sys->events().forEachPending(
+            [&pending](const EventTarget &, const snap::Tag &tag) {
+                pending.insert(tag.self.kind);
+            });
+        bool fresh = false;
+        for (const std::string &kind : pending)
+            fresh = fresh || seen.count(kind) == 0;
+        if (!fresh && original.sys->now() < next_regular)
+            continue;
+        seen.insert(pending.begin(), pending.end());
+        next_regular = original.sys->now() + end / 6;
+        cuts.push_back({original.sys->now(),
+                        original.sys->snapshotBytes(),
+                        original.sys->stateHash()});
+    }
+    ASSERT_GE(cuts.size(), 6u);
+    const std::uint64_t final_hash = original.sys->stateHash();
+    const std::string final_stats = statsDump(*original.sys);
+
+    for (const Cut &cut : cuts) {
+        SCOPED_TRACE("cut at tick " + std::to_string(cut.at));
+        Rig twin = buildSiteRig();
+        twin.sys->restoreSnapshotBytes(cut.blob);
+        ASSERT_EQ(twin.sys->stateHash(), cut.hash);
+        twin.sys->runUntil(end);
+        EXPECT_EQ(twin.sys->stateHash(), final_hash);
+        EXPECT_EQ(statsDump(*twin.sys), final_stats);
+    }
+
+    for (EventTarget *target : original.sys->eventTargets()) {
+        for (const char *kind : target->siteKinds())
+            EXPECT_EQ(seen.count(kind), 1u)
+                << "site '" << kind << "' of " << target->targetName()
+                << " was never pending at a snapshot cut";
+    }
 }
 
 } // namespace

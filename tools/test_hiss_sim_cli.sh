@@ -98,24 +98,38 @@ expect_clean_error "7-byte garbage --snapshot-load file" \
 expect_clean_error "--snapshot-save into a missing directory" \
     "$sim" --gpu ubench --duration 0.2 \
     --snapshot-save "$snapdir/no/such/dir/out.hsnap"
+# The diagnostic names the path the user gave, not the temporary the
+# atomic write goes through.
+save_err=$("$sim" --gpu ubench --duration 0.2 \
+    --snapshot-save "$snapdir/no/such/dir/out.hsnap" 2>&1)
+if printf '%s' "$save_err" | grep -qF "'$snapdir/no/such/dir/out.hsnap'" \
+        && ! printf '%s' "$save_err" | grep -qF ".tmp"; then
+    note "ok: the --snapshot-save failure names the user's path"
+else
+    note "FAIL: the --snapshot-save failure does not name the user's path: $save_err"
+    failures=$((failures + 1))
+fi
 # A snapshot stamped with an older format version (the u32 right
 # after the 8-byte magic) is refused by name.
 expect_exit0 "tiny snapshot save" \
     "$sim" --gpu ubench --duration 0.2 \
-    --snapshot-save "$snapdir/v1.hsnap"
-printf '\001' | dd of="$snapdir/v1.hsnap" bs=1 seek=8 count=1 \
-    conv=notrunc 2> /dev/null
-expect_clean_error "format-version-1 --snapshot-load file" \
-    "$sim" --gpu ubench --duration 0.2 \
-    --snapshot-load "$snapdir/v1.hsnap"
-if "$sim" --gpu ubench --duration 0.2 \
-        --snapshot-load "$snapdir/v1.hsnap" 2>&1 \
-        | grep -q "format version 1 unsupported"; then
-    note "ok: the version-1 refusal names the format version"
-else
-    note "FAIL: the version-1 refusal does not name the format version"
-    failures=$((failures + 1))
-fi
+    --snapshot-save "$snapdir/current.hsnap"
+for old in 1 2; do
+    cp "$snapdir/current.hsnap" "$snapdir/v$old.hsnap"
+    printf "\\00$old" | dd of="$snapdir/v$old.hsnap" bs=1 seek=8 count=1 \
+        conv=notrunc 2> /dev/null
+    expect_clean_error "format-version-$old --snapshot-load file" \
+        "$sim" --gpu ubench --duration 0.2 \
+        --snapshot-load "$snapdir/v$old.hsnap"
+    if "$sim" --gpu ubench --duration 0.2 \
+            --snapshot-load "$snapdir/v$old.hsnap" 2>&1 \
+            | grep -q "format version $old unsupported"; then
+        note "ok: the version-$old refusal names the format version"
+    else
+        note "FAIL: the version-$old refusal does not name the format version"
+        failures=$((failures + 1))
+    fi
+done
 
 if [ "$failures" -ne 0 ]; then
     note "$failures CLI contract check(s) failed"
