@@ -379,11 +379,10 @@ struct CountingClient : hiss::TranslateClient
 constexpr hiss::snap::Token kBenchToken{"bench.xlate"};
 
 /**
- * IOTLB-hit translate throughput through the event queue, scalar vs
- * translateBatch. The IOTLB is pre-warmed with every probed VPN, so
- * the numbers measure the flat probe table plus event scheduling (the
- * batch variant fuses the per-request completion events into one).
- * Items = translations completed.
+ * IOTLB-hit translate throughput through the event queue. The IOTLB
+ * is pre-warmed with every probed VPN, so the numbers measure the
+ * flat probe table plus event scheduling. Items = translations
+ * completed.
  */
 class IommuBench
 {
@@ -439,27 +438,6 @@ BM_IommuTranslateScalar(benchmark::State &state)
         * state.iterations());
 }
 BENCHMARK(BM_IommuTranslateScalar);
-
-void
-BM_IommuTranslateBatch(benchmark::State &state)
-{
-    IommuBench bench;
-    std::vector<hiss::Iommu::TranslateRequest> reqs;
-    for (auto _ : state) {
-        reqs.clear();
-        for (hiss::Vpn v = 0; v < IommuBench::kVpns; ++v)
-            reqs.push_back({v, kBenchToken});
-        bench.iommu().translateBatch(std::move(reqs));
-        reqs.clear();
-        bench.events().runUntil(bench.events().now()
-                                + hiss::usToTicks(2));
-    }
-    benchmark::DoNotOptimize(bench.done());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(IommuBench::kVpns)
-        * state.iterations());
-}
-BENCHMARK(BM_IommuTranslateBatch);
 
 /**
  * The pinned GPU streaming pattern: every translate is a fresh,

@@ -135,10 +135,11 @@ class HeteroSystem
     /** restoreSnapshotBytes() from a file. */
     void restoreSnapshotFile(const std::string &path);
     /**
-     * Order-insensitive digest of all dynamic state. Two systems
-     * with equal hashes are (with overwhelming probability) in the
-     * same state; used by tests to prove restore fidelity and by
-     * trace_diff to locate divergences.
+     * FNV-1a digest of the payload saveSnapshot() writes: two systems
+     * with equal hashes save the same bytes, so (with overwhelming
+     * probability) they are in the same state. Used by tests to
+     * prove restore fidelity. @throws snap::SnapshotError wherever
+     * saveSnapshot() refuses.
      */
     std::uint64_t stateHash() const;
     /** Every component that schedules events: the targets a restore
@@ -181,9 +182,6 @@ class HeteroSystem
     std::vector<std::unique_ptr<CpuApp>> apps_;
     // Declared last: the monitor observes every other subsystem, so
     // it must be destroyed first.
-    // HISS_STATE_EXEMPT(monitor_, hash): diagnostic cross-check state;
-    // kept out of the divergence hash so check-mode and fast-mode
-    // systems hash identically
     std::unique_ptr<check::InvariantMonitor> monitor_;
 };
 

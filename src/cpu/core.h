@@ -287,12 +287,6 @@ class CpuCore : public SimObject
      */
     void snapRestore(snap::Reader &r, const IrqRebuild &irqs,
                      const std::function<Thread *(int)> &threadById);
-
-    /**
-     * Digest of all behaviour-relevant core state (substrate hashes,
-     * burst/irq bookkeeping, accounting counters, RNG cursor).
-     */
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -108,20 +108,8 @@ Gpu::resetForLaunch()
     outstanding_ = 0;
     for (Wavefront &wf : wavefronts_)
         wf.busy = true;
-    // The launch-time fetch loop only draws assignments and does
-    // slot bookkeeping; deferring its translates into one
-    // translateBatch call preserves issue order and is observably
-    // identical to per-wavefront translate() calls (see
-    // Iommu::translateBatch).
-    batching_ = params_.batch_translate;
     for (Wavefront &wf : wavefronts_)
         wavefrontFetch(wf.id);
-    batching_ = false;
-    if (!batch_reqs_.empty()) {
-        iommu_.translateBatch(std::move(batch_reqs_), demand_paging_,
-                              static_cast<Pasid>(params_.device_id));
-        batch_reqs_.clear();
-    }
 }
 
 Gpu::Assignment
@@ -210,10 +198,6 @@ Gpu::issueTranslate(int w)
                             static_cast<std::uint64_t>(params_.device_id),
                             static_cast<std::uint64_t>(w),
                             count_fault ? 1u : 0u};
-    if (batching_) {
-        batch_reqs_.push_back({wf.work.vpn, token});
-        return;
-    }
     iommu_.translate(wf.work.vpn, token, demand_paging_,
                      static_cast<Pasid>(params_.device_id));
 }
@@ -266,11 +250,12 @@ Gpu::abortWavefront(int w)
     Wavefront &wf = wavefronts_[static_cast<std::size_t>(w)];
     ++aborted_wavefronts_;
     trace("wavefront %d aborted (retries %d)", w, wf.retries);
-    wf.busy = false;
     wf.retries = 0;
     wf.backoff = 0;
-    wf.work = Assignment{};
-    maybeFinishKernel();
+    // The assignment is dropped: that lost work is what
+    // aborted_wavefronts_ counts. The wavefront moves on to the next
+    // one, so a launch whose every wavefront aborts still drains.
+    wavefrontFetch(w);
 }
 
 void
@@ -367,8 +352,6 @@ void
 Gpu::snapSave(snap::Writer &w) const
 {
     w.section(name().c_str());
-    // batching_ is only true synchronously inside resetForLaunch, so
-    // it can never be set at an event boundary where saves happen.
     snap::Access::save(w, rng());
     w.b(demand_paging_);
     w.b(loop_);
@@ -445,46 +428,6 @@ Gpu::snapRestore(snap::Reader &r)
     aborted_wavefronts_ = r.u64();
     translate_retries_ = r.u64();
     stall_ticks_ = r.u64();
-}
-
-std::uint64_t
-Gpu::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(demand_paging_ ? 1 : 0);
-    h.mix(loop_ ? 1 : 0);
-    h.mix(static_cast<std::uint64_t>(phase_));
-    h.mix(wavefronts_.size());
-    for (const Wavefront &wf : wavefronts_) {
-        h.mix(wf.busy ? 1 : 0);
-        h.mix(wf.work.vpn);
-        h.mix(wf.work.chunks);
-        h.mix(wf.work.fresh ? 1 : 0);
-        h.mix(wf.work.valid ? 1 : 0);
-        h.mix(wf.stall_start);
-        h.mix(static_cast<std::uint64_t>(wf.retries));
-        h.mix(wf.backoff);
-    }
-    h.mix(slot_waiters_.size());
-    for (const int waiter : slot_waiters_)
-        h.mix(static_cast<std::uint64_t>(waiter));
-    h.mix(outstanding_);
-    h.mix(next_new_vpn_);
-    h.mix(touched_pages_);
-    h.mix(preload_pages_left_);
-    h.mix(main_visits_left_);
-    h.mix(generation_);
-    h.mix(kernels_completed_);
-    h.mix(first_completion_);
-    h.mix(launch_time_);
-    h.mix(chunks_completed_);
-    h.mix(faults_issued_);
-    h.mix(faults_resolved_);
-    h.mix(aborted_wavefronts_);
-    h.mix(translate_retries_);
-    h.mix(stall_ticks_);
-    return h.value();
 }
 
 } // namespace hiss

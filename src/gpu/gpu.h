@@ -33,14 +33,6 @@ struct GpuParams
     /** Hardware limit on outstanding translation/fault requests. */
     std::uint32_t max_outstanding = 16;
     /**
-     * Issue launch-time translations through Iommu::translateBatch
-     * (one IOTLB classification pass + fused completion events)
-     * instead of per-wavefront translate() calls. Observably
-     * identical by the translateBatch contract; OFF is kept as an
-     * equivalence baseline for tests.
-     */
-    bool batch_translate = true;
-    /**
      * Accelerator index. Multiple accelerators (the paper's
      * accelerator-rich-SoC projection) get disjoint virtual-address
      * namespaces and distinct stats prefixes.
@@ -128,8 +120,9 @@ class Gpu : public SimObject, public TranslateClient
     std::uint64_t faultsIssued() const { return faults_issued_; }
     std::uint64_t faultsResolved() const { return faults_resolved_; }
 
-    /** Wavefronts given up on after exhausting translate retries
-     *  (graceful degradation under fault injection). */
+    /** Assignments given up on after exhausted translate retries or
+     *  a driver abort (graceful degradation under fault injection);
+     *  the wavefront drops the assignment and fetches the next. */
     std::uint64_t abortedWavefronts() const { return aborted_wavefronts_; }
     /** Translate attempts re-issued after a Rejected response. */
     std::uint64_t translateRetries() const { return translate_retries_; }
@@ -153,7 +146,6 @@ class Gpu : public SimObject, public TranslateClient
      *  launch() replayed on the restore target. */
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:
@@ -209,15 +201,6 @@ class Gpu : public SimObject, public TranslateClient
     std::vector<Wavefront> wavefronts_;
     std::deque<int> slot_waiters_;
     std::uint32_t outstanding_ = 0;
-
-    /** True while resetForLaunch collects translates into
-     *  batch_reqs_ for one translateBatch hand-off. */
-    // HISS_STATE_EXEMPT(batching_): transient; true only synchronously
-    // inside resetForLaunch, always false at a snapshot boundary
-    bool batching_ = false;
-    // HISS_STATE_EXEMPT(batch_reqs_): transient; drained in the same
-    // resetForLaunch scope that fills it, empty at any boundary
-    std::vector<Iommu::TranslateRequest> batch_reqs_;
 
     Vpn next_new_vpn_ = 0;
     std::uint64_t touched_pages_ = 0;

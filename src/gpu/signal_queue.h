@@ -85,7 +85,6 @@ class SignalQueue : public SimObject, public RequestSource
      *  Throws if the live request carried a caller callback (those
      *  cannot be rebuilt; see sendSignal). */
     void rebuildRequestCallbacks(SsrRequest &request);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -226,76 +226,6 @@ Iommu::translate(Vpn vpn, const snap::Token &token, bool allow_fault,
 }
 
 void
-Iommu::translateBatch(std::vector<TranslateRequest> requests,
-                      bool allow_fault, Pasid pasid)
-{
-    if (requests.empty())
-        return;
-    // Classify the whole chunk against the IOTLB up front. All the
-    // probes happen now, before any insert can land (inserts run at
-    // +walk_latency or later), so the outcomes — and the hit/miss
-    // stats — are byte-identical to issuing scalar translate() calls
-    // in order at this tick.
-    const std::uint64_t id = next_batch_id_++;
-    Batch &batch = batches_[id];
-    batch.allow_fault = allow_fault;
-    batch.pasid = pasid;
-    batch.ops.reserve(requests.size());
-    bool any_hit = false;
-    bool any_walk = false;
-    for (TranslateRequest &req : requests) {
-        const bool hit = iotlbContains(req.vpn);
-        if (hit) {
-            ++iotlb_hits_;
-            any_hit = true;
-        } else {
-            ++iotlb_misses_;
-            any_walk = true;
-        }
-        batch.ops.push_back({hit, req.vpn, req.token});
-    }
-    // One fused event per latency class replays the per-request
-    // bodies in issue order — under the event queue's same-(tick,
-    // priority) FIFO guarantee this is observably identical to the
-    // per-request events scalar translate() would have scheduled.
-    // The pending ops live in the batches_ ledger keyed by id, so
-    // each event carries only (id, select).
-    // select: 0 = hits only, 1 = walks only, 2 = both in issue order
-    // (the equal-latency case, where scalar events would interleave).
-    if (params_.iotlb_hit_latency == params_.walk_latency) {
-        batch.events_left = 1;
-        scheduleAfter(params_.walk_latency, EventPriority::Device, kBatch,
-                      id, 2);
-        return;
-    }
-    batch.events_left = (any_hit ? 1 : 0) + (any_walk ? 1 : 0);
-    if (any_hit)
-        scheduleAfter(params_.iotlb_hit_latency, EventPriority::Device,
-                      kBatch, id, 0);
-    if (any_walk)
-        scheduleAfter(params_.walk_latency, EventPriority::Device, kBatch,
-                      id, 1);
-}
-
-void
-Iommu::runBatchOps(std::uint64_t id, int select)
-{
-    Batch &batch = batches_.at(id);
-    for (BatchOp &op : batch.ops) {
-        if (select == 0 && !op.hit)
-            continue;
-        if (select == 1 && op.hit)
-            continue;
-        if (op.hit)
-            complete(op.token, TranslateResult::Ok);
-        else
-            finishWalk(op.vpn, op.token, batch.allow_fault, batch.pasid);
-    }
-    if (--batch.events_left == 0)
-        batches_.erase(id);
-}
-
-void
 Iommu::attachPprCallbacks(SsrRequest &request, const snap::Token &token)
 {
     const Vpn vpn = request.vpn;
@@ -481,9 +411,6 @@ Iommu::fire(const snap::Tag &tag)
       case kWalk:
         finishWalk(t.a, tag.arg, t.c != 0, static_cast<Pasid>(t.b));
         return;
-      case kBatch:
-        runBatchOps(t.a, static_cast<int>(t.b));
-        return;
       case kCoalesce:
         coalesce_event_ = kInvalidEventId;
         if (!ppr_queue_.empty() && !msi_inflight_)
@@ -530,20 +457,6 @@ Iommu::snapSave(snap::Writer &w) const
     w.u64(coalesce_event_);
     w.u64(static_cast<std::uint64_t>(rr_next_core_));
     w.u64(next_request_id_);
-    w.u64(batches_.size());
-    for (const auto &[id, batch] : batches_) {
-        w.u64(id);
-        w.u32(static_cast<std::uint32_t>(batch.events_left));
-        w.b(batch.allow_fault);
-        w.u32(batch.pasid);
-        w.u64(batch.ops.size());
-        for (const BatchOp &op : batch.ops) {
-            w.b(op.hit);
-            w.u64(op.vpn);
-            w.token(op.token);
-        }
-    }
-    w.u64(next_batch_id_);
     w.u64(pprs_issued_);
     w.u64(msis_raised_);
     w.u64(iotlb_hits_);
@@ -590,22 +503,6 @@ Iommu::snapRestore(snap::Reader &r)
     coalesce_event_ = r.u64();
     rr_next_core_ = static_cast<int>(r.u64());
     next_request_id_ = r.u64();
-    batches_.clear();
-    const std::uint64_t nbatches = r.u64();
-    for (std::uint64_t i = 0; i < nbatches; ++i) {
-        const std::uint64_t id = r.u64();
-        Batch &batch = batches_[id];
-        batch.events_left = static_cast<int>(r.u32());
-        batch.allow_fault = r.b();
-        batch.pasid = r.u32();
-        batch.ops.resize(r.u64());
-        for (BatchOp &op : batch.ops) {
-            op.hit = r.b();
-            op.vpn = r.u64();
-            op.token = r.token();
-        }
-    }
-    next_batch_id_ = r.u64();
     pprs_issued_ = r.u64();
     msis_raised_ = r.u64();
     iotlb_hits_ = r.u64();
@@ -614,49 +511,6 @@ Iommu::snapRestore(snap::Reader &r)
     pprs_rejected_ = r.u64();
     faults_aborted_ = r.u64();
     msi_recoveries_ = r.u64();
-}
-
-std::uint64_t
-Iommu::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(callable_inflight_);
-    for (const Vpn v : iotlb_ring_)
-        h.mix(v);
-    h.mix(iotlb_head_);
-    h.mix(iotlb_size_);
-    h.mix(ppr_queue_.size());
-    for (const SsrRequest &request : ppr_queue_) {
-        h.mix(request.id);
-        h.mix(request.vpn);
-        h.mix(request.issued_at);
-    }
-    h.mix(last_ppr_at_);
-    h.mix(ppr_gap_ema_);
-    h.mix(msi_inflight_ ? 1 : 0);
-    h.mix(coalesce_event_);
-    h.mix(static_cast<std::uint64_t>(rr_next_core_));
-    h.mix(next_request_id_);
-    h.mix(batches_.size());
-    for (const auto &[id, batch] : batches_) {
-        h.mix(id);
-        h.mix(static_cast<std::uint64_t>(batch.events_left));
-        h.mix(batch.ops.size());
-        for (const BatchOp &op : batch.ops) {
-            h.mix(op.hit ? 1 : 0);
-            h.mix(op.vpn);
-        }
-    }
-    h.mix(next_batch_id_);
-    h.mix(pprs_issued_);
-    h.mix(msis_raised_);
-    h.mix(iotlb_hits_);
-    h.mix(iotlb_misses_);
-    h.mix(faults_resolved_);
-    h.mix(pprs_rejected_);
-    h.mix(faults_aborted_);
-    h.mix(msi_recoveries_);
-    return h.value();
 }
 
 } // namespace hiss

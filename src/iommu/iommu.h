@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -108,11 +107,11 @@ class Iommu : public SimObject, public RequestSource
   public:
     /** Event sites, indexed into kSiteKinds. */
     enum Site : std::uint32_t {
-        kHit, kWalk, kBatch, kCoalesce, kMsiWatchdog, kMsiDup, kMsi
+        kHit, kWalk, kCoalesce, kMsiWatchdog, kMsiDup, kMsi
     };
     static constexpr const char *kSiteKinds[] = {
-        "iommu.hit", "iommu.walk", "iommu.batch", "iommu.coalesce",
-        "iommu.msiwd", "iommu.msidup", "iommu.msi"};
+        "iommu.hit", "iommu.walk", "iommu.coalesce", "iommu.msiwd",
+        "iommu.msidup", "iommu.msi"};
 
     Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params);
 
@@ -168,28 +167,6 @@ class Iommu : public SimObject, public RequestSource
                   allow_fault, pasid);
     }
 
-    /** One translation of a batch handed to translateBatch(). */
-    struct TranslateRequest
-    {
-        Vpn vpn = 0;
-        /** Completion token, handed back to its client. */
-        snap::Token token;
-    };
-
-    /**
-     * Translate a chunk of VPNs in one pass — observably identical
-     * to calling translate() on each element in order at the same
-     * tick, but classifies the whole chunk against the IOTLB up
-     * front and fuses the per-request completion events into one
-     * event per latency class. Sound because translate() never
-     * mutates the IOTLB synchronously (inserts land at +walk_latency
-     * or later), so the probe outcome of request k cannot depend on
-     * requests 0..k-1 of the same tick. Used by the GPU wavefront
-     * fault-issue path at launch.
-     */
-    void translateBatch(std::vector<TranslateRequest> requests,
-                        bool allow_fault = true, Pasid pasid = 0);
-
     /// @name RequestSource (driver-facing) interface.
     /// @{
     std::vector<SsrRequest> drain() override;
@@ -221,7 +198,7 @@ class Iommu : public SimObject, public RequestSource
     /// @name Snapshot support.
     /// @{
     /** Serialize the IOTLB's FIFO ring, unsent PPR queue,
-     *  coalescing/MSI state, in-flight batch ledger, and counters.
+     *  coalescing/MSI state, and counters.
      *  The IOTLB probe table is derived state and is not written. */
     void snapSave(snap::Writer &w) const;
     /** Mirror of snapSave; rebuilds the IOTLB probe table from the
@@ -230,7 +207,6 @@ class Iommu : public SimObject, public RequestSource
     /** Re-attach this IOMMU's service callbacks to a restored PPR
      *  (its completion token travels as request.origin.arg). */
     void rebuildRequestCallbacks(SsrRequest &request);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:
@@ -250,23 +226,6 @@ class Iommu : public SimObject, public RequestSource
     template <class F>
     static inline CallableClient<F> callableClient{};
 
-    /** One classified element of an in-flight translate batch. */
-    struct BatchOp
-    {
-        bool hit = false;
-        Vpn vpn = 0;
-        snap::Token token;
-    };
-
-    /** A translateBatch() call whose fused events are still pending. */
-    struct Batch
-    {
-        std::vector<BatchOp> ops;
-        int events_left = 0;
-        bool allow_fault = true;
-        Pasid pasid = 0;
-    };
-
     std::uint32_t iotlbSlot(Vpn vpn) const;
     /** Install @p vpn in the probe table only; false if resident. */
     bool placeIotlb(Vpn vpn);
@@ -279,7 +238,6 @@ class Iommu : public SimObject, public RequestSource
                     Pasid pasid);
     void queuePpr(Pasid pasid, Vpn vpn, const snap::Token &token);
     void attachPprCallbacks(SsrRequest &request, const snap::Token &token);
-    void runBatchOps(std::uint64_t id, int select);
     Tick effectiveWindow() const;
     void considerRaiseMsi();
     void raiseMsi();
@@ -310,7 +268,7 @@ class Iommu : public SimObject, public RequestSource
     // probe table (Fibonacci hash, linear probing, backward-shift
     // deletion, load factor <= 1/2) holding vpn + 1 codes with 0
     // marking an empty slot.
-    // HISS_STATE_EXEMPT(iotlb_slots_, save hash): derived index over
+    // HISS_STATE_EXEMPT(iotlb_slots_, save): derived index over
     // iotlb_ring_; lookups depend only on which VPNs are resident, and
     // snapRestore rebuilds it by re-inserting the ring in FIFO order
     std::vector<Vpn> iotlb_slots_;
@@ -331,12 +289,6 @@ class Iommu : public SimObject, public RequestSource
     EventId coalesce_event_ = kInvalidEventId;
     int rr_next_core_ = 0;
     std::uint64_t next_request_id_ = 1;
-
-    /** In-flight fused batches, keyed by id so the pending events
-     *  carry only POD state (snapshottable) instead of a closure
-     *  owning the op vector. */
-    std::map<std::uint64_t, Batch> batches_;
-    std::uint64_t next_batch_id_ = 1;
 
     std::uint64_t pprs_issued_ = 0;
     std::uint64_t msis_raised_ = 0;

@@ -158,7 +158,6 @@ class Kernel : public SimObject, public CoreListener
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
     /** Re-materialize an in-flight Irq from its producer token. */
     Irq rebuildIrq(const snap::Token &token);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

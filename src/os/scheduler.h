@@ -119,7 +119,6 @@ class Scheduler : public SimObject
 
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

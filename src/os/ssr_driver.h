@@ -111,6 +111,9 @@ class SsrDriver : public SimObject
     {
         return completions_suppressed_;
     }
+    /** Aborted requests still tracked: their zombie completion has not
+     *  arrived yet, and each one ends as a suppressed completion. */
+    std::uint64_t abortedInFlight() const;
 
     void fire(const snap::Tag &tag) override;
 
@@ -127,7 +130,6 @@ class SsrDriver : public SimObject
 
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -360,43 +360,6 @@ EventQueue::restoreState(snap::Reader &r,
                                   audit);
 }
 
-std::uint64_t
-EventQueue::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(now_);
-    h.mix(next_seq_);
-    h.mix(executed_);
-    h.mix(slots_.size());
-    for (const Slot &s : slots_)
-        h.mix(s.gen);
-    h.mix(free_slots_.size());
-    for (const std::uint32_t slot : free_slots_)
-        h.mix(slot);
-
-    const std::vector<Entry> live = liveSorted(heap_, num_pending_);
-    h.mix(live.size());
-    for (const Entry &e : live) {
-        h.mix(e.when);
-        h.mix(e.order);
-        h.mix(e.slot);
-        h.mix(e.gen);
-        const Slot &s = slots_[e.slot];
-        const char *target = s.target->targetName();
-        h.mixString(target != nullptr ? target : "");
-        const snap::Tag &tag = s.tag;
-        h.mixString(tag.self.kind != nullptr ? tag.self.kind : "");
-        h.mix(tag.self.a);
-        h.mix(tag.self.b);
-        h.mix(tag.self.c);
-        h.mixString(tag.arg.kind != nullptr ? tag.arg.kind : "");
-        h.mix(tag.arg.a);
-        h.mix(tag.arg.b);
-        h.mix(tag.arg.c);
-    }
-    return h.value();
-}
-
 void
 EventQueue::reset()
 {

@@ -230,13 +230,6 @@ class EventQueue
     void restoreState(snap::Reader &r,
                       const std::vector<EventTarget *> &targets);
 
-    /**
-     * Order-insensitive digest of queue state: counters, slot/free
-     * layout, and live events (key + tag). Cancelled heap residue is
-     * excluded — lazily-deleted entries are unobservable.
-     */
-    std::uint64_t stateHash() const;
-
   private:
     /** The target of every schedule(Tick, F) event of one type F. */
     template <class F>
@@ -326,8 +319,7 @@ class EventQueue
     void maybeCompact();
 
     /** The live entries of @p heap (@p pending of them) sorted by
-     *  (when, order): the canonical order saveState() writes and
-     *  stateHash() mixes. */
+     *  (when, order): the canonical order saveState() writes. */
     std::vector<Entry> liveSorted(const std::vector<Entry> &heap,
                                   std::size_t pending) const;
 
@@ -344,9 +336,9 @@ class EventQueue
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t num_pending_ = 0;
-    // HISS_STATE_EXEMPT(dead_in_heap_, save hash): save compacts the
-    // heap so snapshots never carry dead events and restore resets the
-    // count; hashing it would break pre-save vs post-restore equality
+    // HISS_STATE_EXEMPT(dead_in_heap_, save): save compacts the heap
+    // so snapshots never carry dead events and restore resets the
+    // count; saving it would break pre-save vs post-restore equality
     std::size_t dead_in_heap_ = 0;
     std::vector<Entry> heap_;
     std::vector<Slot> slots_;

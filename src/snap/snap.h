@@ -47,8 +47,9 @@ class SnapshotError : public std::runtime_error
 
 /** Snapshot format version; bump on any layout change (v2: the IOMMU
  *  section carries the IOTLB FIFO ring only, not its probe table;
- *  v3: each pending event names its target). */
-inline constexpr std::uint32_t kFormatVersion = 3;
+ *  v3: each pending event names its target; v4: the IOMMU section
+ *  carries no translate-batch ledger). */
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /** File magic ("HISSNAP" + format epoch). */
 inline constexpr char kMagic[8] = {'H', 'I', 'S', 'S', 'N', 'A', 'P', '1'};
@@ -100,7 +101,8 @@ struct Tag
  */
 const char *internKind(const std::string &kind);
 
-/** FNV-1a 64-bit running hash for stateHash() implementations. */
+/** FNV-1a 64-bit running hash: HeteroSystem::stateHash (over the
+ *  saved payload), the snapshot config fingerprint and cell keys. */
 struct Hash64
 {
     std::uint64_t h = 14695981039346656037ULL;
@@ -112,14 +114,6 @@ struct Hash64
             h ^= (v >> (i * 8)) & 0xffU;
             h *= 1099511628211ULL;
         }
-    }
-
-    void
-    mixDouble(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        mix(bits);
     }
 
     void

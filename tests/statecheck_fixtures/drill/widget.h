@@ -1,8 +1,8 @@
 // Drill fixture: a field (epoch_) was added to a snapshot-capable
 // class after its serializers were written — the exact regression
 // hiss_statecheck exists to catch. Also seeds every exempt-marker
-// failure mode (unknown target, stale, unjustified) and a class with
-// a missing hash implementation.
+// failure mode (unknown target, stale, unjustified, a retired mode
+// word) and a class with a missing restore implementation.
 #ifndef FIX_DRILL_WIDGET_H_
 #define FIX_DRILL_WIDGET_H_
 
@@ -20,17 +20,16 @@ class Widget
   public:
     void snapSave(snap::Writer &out) const;
     void snapRestore(snap::Reader &in);
-    std::uint64_t stateHash() const;
 
   private:
     std::uint64_t count_ = 0;
 
-    // HISS_STATE_EXEMPT(ghost_, hash): the field this exempted no
+    // HISS_STATE_EXEMPT(ghost_, save): the field this exempted no
     // longer exists — the marker must be flagged as unknown
     int credit_ = 3;
 
-    // HISS_STATE_EXEMPT(credit_, hash): stale on purpose — credit_
-    // is hashed by the implementation, so this marker is dead weight
+    // HISS_STATE_EXEMPT(credit_, save): stale on purpose — credit_
+    // is saved by the implementation, so this marker is dead weight
     // HISS_STATE_EXEMPT(count_, save)
     std::uint32_t epoch_ = 0; // the drill: never serialized
 };
@@ -39,10 +38,11 @@ class Gauge
 {
   public:
     void snapSave(snap::Writer &out) const;
-    void snapRestore(snap::Reader &in);
-    // No stateHash: the analyzer must flag the structural gap.
+    // No snapRestore: the analyzer must flag the structural gap.
 
   private:
+    // HISS_STATE_EXEMPT(level_, hash): the state hash is derived from
+    // the saved bytes, so a marker naming a hash mode is malformed
     std::uint64_t level_ = 0;
 };
 

@@ -83,36 +83,6 @@ TEST(Determinism, CancelHeavyQosRunsAreReproducible)
     EXPECT_NE(cancelHeavyFingerprint(23), cancelHeavyFingerprint(24));
 }
 
-/** Fingerprint a run with the GPU's batched launch-translate path
- *  forced on or off. */
-std::string
-batchTranslateFingerprint(std::uint64_t seed, bool batch)
-{
-    SystemConfig config;
-    config.seed = seed;
-    config.gpu.batch_translate = batch;
-    HeteroSystem sys(config);
-    CpuApp &app = sys.addCpuApp(parsec::params("streamcluster"));
-    app.start();
-    sys.launchGpu(gpu_suite::params("bfs"), true, true);
-    sys.runUntil(msToTicks(8));
-    sys.finalizeStats();
-    std::ostringstream os;
-    os << sys.now() << '\n';
-    sys.stats().dumpCsv(os);
-    return os.str();
-}
-
-TEST(Determinism, BatchedLaunchTranslatesAreObservablyEquivalent)
-{
-    // Gpu::resetForLaunch collecting its wavefront translates into
-    // one Iommu::translateBatch call must not change a single
-    // statistic relative to per-wavefront scalar translate() calls —
-    // the translateBatch event-fusion contract, end to end.
-    EXPECT_EQ(batchTranslateFingerprint(29, true),
-              batchTranslateFingerprint(29, false));
-}
-
 TEST(Conservation, CoreTimePartitionsTheRun)
 {
     SystemConfig config;

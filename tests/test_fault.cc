@@ -140,20 +140,88 @@ TEST(FaultInjector, StalledKworkersLoseRacesWithTheRequestWatchdog)
     config.fault.request_timeout = usToTicks(120);
     HeteroSystem sys(config);
     sys.launchGpu(gpu_suite::params("ubench"), true, true);
+    // Run until the GPU has aborted as many assignments as it has
+    // wavefronts: where a device whose wavefronts all abort used to
+    // fall silent for the rest of the run.
+    const Gpu &gpu = sys.gpu();
+    const auto wavefronts = static_cast<std::uint64_t>(
+        gpu_suite::params("ubench").wavefronts);
+    ASSERT_TRUE(sys.runUntilCondition(
+        [&gpu, wavefronts] {
+            return gpu.abortedWavefronts() >= wavefronts;
+        },
+        msToTicks(5)));
+    const std::uint64_t issued_at_cut = gpu.faultsIssued();
+    const std::uint64_t resolved_at_cut = gpu.faultsResolved();
     EXPECT_NO_THROW(sys.runUntil(msToTicks(5)));
     sys.finalizeStats();
 
     ASSERT_NE(sys.faultInjector(), nullptr);
     EXPECT_GT(sys.faultInjector()->kworkerStalls(), 0u);
     // The watchdog aborted some work-queued requests, every abort
-    // reached the device, and the zombie completions were suppressed
-    // rather than double-counted.
-    EXPECT_GT(sys.ssrDriver().requestsAborted(), 0u);
-    EXPECT_EQ(sys.iommu().faultsAborted(),
-              sys.ssrDriver().requestsAborted());
-    EXPECT_EQ(sys.ssrDriver().completionsSuppressed(),
-              sys.ssrDriver().requestsAborted());
-    EXPECT_GT(sys.gpu().abortedWavefronts(), 0u);
+    // reached the device, and each zombie completion that arrived was
+    // suppressed rather than double-counted; the rest are still
+    // tracked, in flight behind a stalled kworker.
+    const SsrDriver &driver = sys.ssrDriver();
+    EXPECT_GT(driver.requestsAborted(), 0u);
+    EXPECT_EQ(sys.iommu().faultsAborted(), driver.requestsAborted());
+    EXPECT_GT(driver.completionsSuppressed(), 0u);
+    EXPECT_EQ(driver.completionsSuppressed() + driver.abortedInFlight(),
+              driver.requestsAborted());
+    // An aborted wavefront drops its assignment and fetches the next,
+    // so the device keeps faulting, and faults keep resolving.
+    EXPECT_GT(gpu.faultsIssued(), issued_at_cut + wavefronts);
+    EXPECT_GT(gpu.faultsResolved(), resolved_at_cut);
+}
+
+/**
+ * A launch whose every wavefront aborts must still drain: the aborted
+ * assignments are lost work, and the wavefronts fetch on. Rig: seed
+ * 3, coalescing, canneal plus a looping demand-paged ubench and a
+ * 4-wavefront looping accelerator, under the snapshot tests' armed
+ * fault plan (every class of fault, 150 us request timeout, 4
+ * retries), where every wavefront of both devices aborts within the
+ * first millisecond.
+ */
+TEST(FaultInjector, LaunchesWhoseWavefrontsAllAbortStillDrain)
+{
+    SystemConfig config;
+    config.seed = 3;
+    config.check_invariants = true;
+    config.iommu.coalescing = true;
+    config.fault.irq_drop_prob = 0.2;
+    config.fault.irq_dup_prob = 0.15;
+    config.fault.irq_delay_prob = 0.2;
+    config.fault.ipi_delay_prob = 0.1;
+    config.fault.kworker_stall_prob = 0.1;
+    config.fault.signal_loss_prob = 0.1;
+    config.fault.request_timeout = usToTicks(150);
+    config.fault.max_retries = 4;
+    HeteroSystem sys(config);
+    CpuAppParams app = parsec::params("canneal");
+    app.iterations = 6;
+    sys.addCpuApp(app).start();
+    sys.launchGpu(gpu_suite::params("ubench"), true, true);
+    GpuWorkloadParams small;
+    small.name = "small";
+    small.wavefronts = 4;
+    small.pages = 64;
+    small.main_visits = 256;
+    Gpu &accel = sys.addAccelerator();
+    accel.launch(small, true, true);
+    EXPECT_NO_THROW(sys.runUntil(msToTicks(6)));
+    sys.finalizeStats();
+
+    // Both devices abort more assignments than they have wavefronts
+    // and keep issuing past them; the accelerator completes work.
+    for (const Gpu *gpu : {&sys.gpu(), &accel}) {
+        const auto wavefronts = static_cast<std::uint64_t>(
+            gpu == &accel ? small.wavefronts
+                          : gpu_suite::params("ubench").wavefronts);
+        EXPECT_GE(gpu->abortedWavefronts(), wavefronts);
+        EXPECT_GT(gpu->faultsIssued(), 2 * wavefronts);
+    }
+    EXPECT_GT(accel.chunksCompleted(), 0u);
 }
 
 TEST(FaultInjector, LostSignalsAreResent)

@@ -281,9 +281,9 @@ TEST_F(IommuTest, AdaptiveCoalescingShortensSparseStreamWait)
 }
 
 /** A second, self-contained IOMMU stack for side-by-side runs. */
-struct BatchHarness
+struct IommuStack
 {
-    explicit BatchHarness(IommuParams params = {})
+    explicit IommuStack(IommuParams params = {})
         : ctx{events, stats, 41}
     {
         KernelParams kparams;
@@ -305,97 +305,13 @@ struct BatchHarness
     std::unique_ptr<Iommu> iommu;
 };
 
-/** Issue-order completion log: (request index, completion tick). */
-using CompletionLog = std::vector<std::pair<int, Tick>>;
-
-/**
- * translateBatch must be observably identical to scalar translate()
- * calls issued in the same order at the same tick: same callback
- * order, same completion ticks, same counters — across a mix of
- * IOTLB hits, walk hits, and full-chain faults, with and without the
- * fused equal-latency event path.
- */
-void
-expectBatchMatchesScalar(IommuParams params)
+/** The bytes a snapshot writes for @p iommu: its whole state. */
+std::string
+savedBytes(const Iommu &iommu)
 {
-    const std::vector<Vpn> warm = {10, 11};
-    // 10/11: IOTLB hits. 12/13: mapped, walk hits. 200/201: faults.
-    // Trailing 10 re-hit and duplicate 201 cover intra-batch repeats.
-    const std::vector<Vpn> mix = {10, 12, 200, 11, 13, 201, 10, 201};
-
-    CompletionLog scalar_log;
-    CompletionLog batch_log;
-    for (const bool batched : {false, true}) {
-        BatchHarness h(params);
-        for (Vpn v = 10; v <= 13; ++v)
-            h.kernel->gpuPageTable().map(v, v + 100);
-        for (const Vpn v : warm) {
-            h.iommu->translate(v, h.client.token());
-            h.events.runUntil(h.events.now() + usToTicks(5));
-        }
-        const Tick issue_at = h.events.now();
-        CompletionLog &log = batched ? batch_log : scalar_log;
-        if (batched) {
-            std::vector<Iommu::TranslateRequest> reqs;
-            for (std::size_t i = 0; i < mix.size(); ++i) {
-                const int idx = static_cast<int>(i);
-                reqs.push_back(
-                    {mix[i], h.client.token([&log, idx, &h](TranslateResult) {
-                         log.emplace_back(idx, h.events.now());
-                     })});
-            }
-            h.iommu->translateBatch(std::move(reqs));
-        } else {
-            for (std::size_t i = 0; i < mix.size(); ++i) {
-                const int idx = static_cast<int>(i);
-                h.iommu->translate(
-                    mix[i], h.client.token([&log, idx, &h](TranslateResult) {
-                        log.emplace_back(idx, h.events.now());
-                    }));
-            }
-        }
-        h.events.runUntil(issue_at + msToTicks(4));
-        ASSERT_EQ(log.size(), mix.size())
-            << (batched ? "batched" : "scalar");
-        if (batched) {
-            // Warm-up walks are misses; the mix re-hits 10, 11, 10.
-            EXPECT_EQ(h.iommu->iotlbHits(), 3u);
-            EXPECT_EQ(h.iommu->pprsIssued(), 3u);
-            EXPECT_EQ(h.iommu->faultsResolved(), 3u);
-        }
-    }
-    EXPECT_EQ(batch_log, scalar_log);
-}
-
-TEST_F(IommuTest, TranslateBatchMatchesScalarSequence)
-{
-    expectBatchMatchesScalar(IommuParams{});
-}
-
-TEST_F(IommuTest, TranslateBatchMatchesScalarWithEqualLatencies)
-{
-    // hit == walk latency exercises the fused single-event replay,
-    // where scalar hit and walk completions interleave in issue order.
-    IommuParams params;
-    params.iotlb_hit_latency = params.walk_latency;
-    expectBatchMatchesScalar(params);
-}
-
-TEST_F(IommuTest, TranslateBatchEmptyAndSingleton)
-{
-    build();
-    iommu->translateBatch({}); // no-op, schedules nothing
-    events.runUntil(usToTicks(1));
-    EXPECT_EQ(iommu->iotlbHits() + iommu->iotlbMisses(), 0u);
-
-    kernel->gpuPageTable().map(42, 7);
-    int done = 0;
-    std::vector<Iommu::TranslateRequest> one;
-    one.push_back({42, client.token([&](TranslateResult) { ++done; })});
-    iommu->translateBatch(std::move(one));
-    events.runUntil(events.now() + usToTicks(10));
-    EXPECT_EQ(done, 1);
-    EXPECT_EQ(iommu->iotlbMisses(), 1u);
+    snap::Writer w;
+    iommu.snapSave(w);
+    return w.buffer();
 }
 
 /**
@@ -456,7 +372,7 @@ TEST_F(IommuTest, FlatIotlbMatchesReferenceFifoModel)
  * duplicate translates in flight (the dedupe path of the insert).
  * Midway, with the IOTLB full and its ring wrapped, the IOMMU is
  * snapshotted into a twin; from then on both must produce the
- * reference hit/miss sequence and the same stateHash.
+ * reference hit/miss sequence and save the same bytes.
  */
 TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
 {
@@ -502,12 +418,12 @@ TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
 
         IommuParams params;
         params.iotlb_entries = capacity;
-        BatchHarness live(params);
-        std::unique_ptr<BatchHarness> twin;
+        IommuStack live(params);
+        std::unique_ptr<IommuStack> twin;
         std::uint64_t expect_hits = 0;
         std::uint64_t expect_misses = 0;
         std::uint64_t inserts = 0;
-        const auto issue = [](BatchHarness &h, const Op &op) {
+        const auto issue = [](IommuStack &h, const Op &op) {
             for (int k = 0; k < (op.duplicate ? 2 : 1); ++k)
                 h.iommu->translate(op.vpn, h.client.token(),
                                    /*allow_fault=*/false);
@@ -521,12 +437,11 @@ TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
                 ASSERT_GT(inserts, 2u * capacity); // ring has wrapped
                 snap::Writer w;
                 live.iommu->snapSave(w);
-                twin = std::make_unique<BatchHarness>(params);
+                twin = std::make_unique<IommuStack>(params);
                 snap::Reader r(w.buffer());
                 twin->iommu->snapRestore(r);
                 ASSERT_TRUE(r.atEnd());
-                ASSERT_EQ(twin->iommu->stateHash(),
-                          live.iommu->stateHash());
+                ASSERT_EQ(savedBytes(*twin->iommu), w.buffer());
                 // Every resident VPN hits in both; hits leave the FIFO
                 // as it is, so the streams stay aligned.
                 for (const Vpn vpn : ref_fifo) {
@@ -558,7 +473,7 @@ TEST_F(IommuTest, StreamingIotlbMatchesReferenceFifoModel)
             }
         }
         ASSERT_NE(twin, nullptr);
-        EXPECT_EQ(twin->iommu->stateHash(), live.iommu->stateHash());
+        EXPECT_EQ(savedBytes(*twin->iommu), savedBytes(*live.iommu));
         EXPECT_GT(expect_hits, 0u);
         EXPECT_GT(expect_misses, 4u * capacity);
     }
@@ -576,7 +491,7 @@ TEST_F(IommuTest, ZeroIotlbEntriesRejected)
          {IommuParams::kMaxIotlbEntries + 1, 0x40000001u, 0x80000000u,
           0xFFFFFFFFu}) {
         params.iotlb_entries = entries;
-        EXPECT_THROW(BatchHarness{params}, FatalError) << entries;
+        EXPECT_THROW(IommuStack{params}, FatalError) << entries;
     }
 }
 

@@ -4,15 +4,18 @@
  *
  * The contract under test (docs/MODEL.md "Snapshot/restore"): a
  * system restored from a snapshot is indistinguishable from the
- * system that kept running — same System::stateHash() at the cut,
- * the same hash after running further, and byte-identical statistics
- * dumps at the end. Failure modes (version mismatch, truncation,
- * corruption, config mismatch, armed invariant monitor) must be
- * loud, typed errors, never silent divergence.
+ * system that kept running — same HeteroSystem::stateHash() (the
+ * hash of the bytes a snapshot saves) at the cut, the same hash
+ * after running further, and byte-identical statistics dumps at the
+ * end. Failure modes (version mismatch, truncation, corruption,
+ * config mismatch, armed invariant monitor, state that cannot be
+ * saved) must be loud, typed errors, never silent divergence; the
+ * hash refuses wherever the save does.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -200,6 +203,28 @@ TEST(Snapshot, ConfigMismatchIsLoud)
     EXPECT_THROW(bare.restoreSnapshotBytes(blob), snap::SnapshotError);
 }
 
+/** The SnapshotError message @p op throws ("" if it throws none). */
+std::string
+refusal(const std::function<void()> &op)
+{
+    try {
+        op();
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Require saveSnapshot and stateHash to refuse @p sys alike. */
+void
+expectSaveAndHashRefuse(HeteroSystem &sys)
+{
+    snap::Writer w;
+    const std::string saved = refusal([&] { sys.saveSnapshot(w); });
+    EXPECT_NE(saved, "") << "saveSnapshot did not refuse";
+    EXPECT_EQ(refusal([&] { (void)sys.stateHash(); }), saved);
+}
+
 TEST(Snapshot, ArmedMonitorRefusesSnapshots)
 {
     SystemConfig config;
@@ -208,8 +233,31 @@ TEST(Snapshot, ArmedMonitorRefusesSnapshots)
     HeteroSystem sys(config);
     sys.launchGpu(gpu_suite::params("ubench"), true, true);
     sys.runUntil(msToTicks(1));
-    snap::Writer w;
-    EXPECT_THROW(sys.saveSnapshot(w), snap::SnapshotError);
+    expectSaveAndHashRefuse(sys);
+}
+
+TEST(Snapshot, PlainCallableEventRefusesSaveAndHash)
+{
+    SystemConfig config;
+    config.seed = 1;
+    config.check_invariants = false;
+    HeteroSystem sys(config);
+    sys.launchGpu(gpu_suite::params("ubench"), true, true);
+    sys.runUntil(msToTicks(1));
+    sys.events().scheduleAfter(usToTicks(5), [] {});
+    expectSaveAndHashRefuse(sys);
+}
+
+TEST(Snapshot, CallableTranslateInFlightRefusesSaveAndHash)
+{
+    SystemConfig config;
+    config.seed = 1;
+    config.check_invariants = false;
+    HeteroSystem sys(config);
+    sys.launchGpu(gpu_suite::params("ubench"), true, true);
+    sys.runUntil(msToTicks(1));
+    sys.iommu().translate(Vpn{7}, [](TranslateResult) {}, false);
+    expectSaveAndHashRefuse(sys);
 }
 
 TEST(Snapshot, FileRoundTrip)

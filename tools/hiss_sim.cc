@@ -516,6 +516,10 @@ run(const Options &opt)
         config.num_cores = opt.cores;
     if (opt.check)
         config.check_invariants = true;
+    // Snapshots refuse an armed monitor and --check is rejected with
+    // them, so a HISS_CHECK build's default arming stands down here.
+    if (!opt.snapshot_save.empty() || !opt.snapshot_load.empty())
+        config.check_invariants = false;
     config.fault = opt.fault;
     MitigationConfig mitigation;
     mitigation.steer_to_single_core = opt.steer;

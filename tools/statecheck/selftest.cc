@@ -4,11 +4,11 @@
  *
  * The clean fixture corpus must produce zero findings; the drill
  * corpus seeds one example of every defect class — a field added
- * after the serializers were written (flagged in save, restore AND
- * hash), a cell-key-reachable field missing from canonicalCellText,
- * a class without a hash implementation, and every exempt-marker
- * failure (unknown target, stale, unjustified, orphan). Inline
- * sources cover the declaration parser's edges directly.
+ * after the serializers were written (flagged in save AND restore),
+ * a cell-key-reachable field missing from canonicalCellText, a class
+ * without a restore implementation, and every exempt-marker failure
+ * (unknown target, stale, unjustified, orphan, a retired mode word).
+ * Inline sources cover the declaration parser's edges directly.
  */
 
 #include <algorithm>
@@ -208,11 +208,9 @@ TEST(DeclParser, RecordsFunctionBodiesAcrossStyles)
         }
 
         std::uint64_t
-        SignalQueue::stateHash() const
+        SignalQueue::pending() const
         {
-            snap::Hash64 h;
-            h.mix(next_id_);
-            return h.value();
+            return next_id_ - 1;
         }
 
         struct Access {
@@ -238,9 +236,9 @@ TEST(DeclParser, RecordsFunctionBodiesAcrossStyles)
     EXPECT_TRUE(save.mentions("next_id_"));
     EXPECT_FALSE(save.mentions("rng"));
 
-    const FunctionDef &hash = file.functions[1];
-    EXPECT_EQ(hash.name, "stateHash");
-    EXPECT_EQ(hash.return_type, "uint64_t");
+    const FunctionDef &pending = file.functions[1];
+    EXPECT_EQ(pending.name, "pending");
+    EXPECT_EQ(pending.return_type, "uint64_t");
 
     const FunctionDef &access_save = file.functions[2];
     EXPECT_EQ(access_save.name, "save");
@@ -274,18 +272,20 @@ TEST(DeclParser, ParsesExemptMarkers)
         class Widget {
             // HISS_STATE_EXEMPT(scratch_): rebuilt lazily
             int scratch_ = 0;
-            // HISS_STATE_EXEMPT(cache_, hash cellkey): derived
+            // HISS_STATE_EXEMPT(cache_, restore cellkey): derived
             int cache_ = 0;
             // HISS_STATE_EXEMPT(bad_, teleport): unknown mode
             int bad_ = 0;
             // HISS_STATE_EXEMPT(naked_, save)
             int naked_ = 0;
+            // HISS_STATE_EXEMPT(digest_, save hash): hash is no mode
+            int digest_ = 0;
         };
         // HISS_STATE_EXEMPT(stray_, save): outside any class
     )");
     const ClassDecl *cls = findClass(file, "Widget");
     ASSERT_NE(cls, nullptr);
-    ASSERT_EQ(cls->exempts.size(), 4u);
+    ASSERT_EQ(cls->exempts.size(), 5u);
 
     EXPECT_EQ(cls->exempts[0].target, "scratch_");
     EXPECT_TRUE(cls->exempts[0].modes.empty()); // all modes
@@ -294,12 +294,15 @@ TEST(DeclParser, ParsesExemptMarkers)
     EXPECT_EQ(cls->exempts[1].target, "cache_");
     ASSERT_EQ(cls->exempts[1].modes.size(), 2u);
     EXPECT_EQ(cls->exempts[1].modes[0],
-              hiss::statecheck::Mode::Hash);
+              hiss::statecheck::Mode::Restore);
     EXPECT_EQ(cls->exempts[1].modes[1],
               hiss::statecheck::Mode::CellKey);
 
     EXPECT_TRUE(cls->exempts[2].malformed); // unknown mode word
     EXPECT_FALSE(cls->exempts[3].justified);
+    // The state hash is derived from the saved bytes: "hash" is not
+    // a mode a field can be exempted from.
+    EXPECT_TRUE(cls->exempts[4].malformed);
 
     ASSERT_EQ(file.orphan_exempts.size(), 1u);
     EXPECT_EQ(file.orphan_exempts[0].target, "stray_");
@@ -320,23 +323,21 @@ TEST(Statecheck, CleanFixtureIsClean)
     EXPECT_EQ(widget.name, "Widget");
     EXPECT_EQ(widget.impls[0].size(), 1u);
     EXPECT_EQ(widget.impls[1].size(), 1u);
-    EXPECT_EQ(widget.impls[2].size(), 1u);
 }
 
 TEST(Statecheck, DrillFlagsUnserializedFieldInEveryMode)
 {
     const std::vector<Finding> findings =
         buildIndex("drill").analyze();
-    // The freshly added epoch_ must be caught by all three coverage
+    // The freshly added epoch_ must be caught by both coverage
     // dimensions — this is the "field added but not serialized"
     // regression the analyzer exists for.
     EXPECT_EQ(count(findings, "state-save", "epoch_"), 1u)
         << render(findings);
     EXPECT_EQ(count(findings, "state-restore", "epoch_"), 1u);
-    EXPECT_EQ(count(findings, "state-hash", "epoch_"), 1u);
     // Covered fields stay silent.
     EXPECT_EQ(count(findings, "state-save", "count_"), 0u);
-    EXPECT_EQ(count(findings, "state-hash", "credit_"), 0u);
+    EXPECT_EQ(count(findings, "state-restore", "credit_"), 0u);
 }
 
 TEST(Statecheck, DrillFlagsCellKeyGap)
@@ -351,14 +352,14 @@ TEST(Statecheck, DrillFlagsCellKeyGap)
     EXPECT_EQ(count(findings, "cell-key", "'app'"), 0u);
 }
 
-TEST(Statecheck, DrillFlagsMissingHashImplementation)
+TEST(Statecheck, DrillFlagsMissingRestoreImplementation)
 {
     const std::vector<Finding> findings =
         buildIndex("drill").analyze();
     EXPECT_EQ(count(findings, "state-structure", "Gauge"), 1u)
         << render(findings);
-    // Gauge's covered field must not produce per-mode noise for the
-    // modes it does implement.
+    // Gauge's covered field must not produce per-mode noise: save
+    // covers it, and a missing restore is one structural finding.
     EXPECT_EQ(count(findings, "state-save", "level_"), 0u);
     EXPECT_EQ(count(findings, "state-restore", "level_"), 0u);
 }
@@ -373,6 +374,9 @@ TEST(Statecheck, DrillFlagsEveryExemptDefect)
     EXPECT_EQ(count(findings, "state-exempt", "stale"), 1u);
     EXPECT_EQ(count(findings, "state-exempt", "outside any class"),
               1u);
+    // Gauge's marker still names the retired hash mode.
+    EXPECT_EQ(count(findings, "state-exempt", "malformed marker"), 1u);
+    EXPECT_EQ(count(findings, "state-exempt", "level_, hash"), 1u);
 }
 
 TEST(Statecheck, OnlyClassFilterRestrictsFindings)
@@ -389,22 +393,21 @@ TEST(Statecheck, OnlyClassFilterRestrictsFindings)
 
 TEST(Statecheck, ExemptSuppressesAndEarnsItsKeep)
 {
-    // The clean fixture's scratch_ exempt suppresses all three mode
+    // The clean fixture's scratch_ exempt suppresses both mode
     // findings; were it stale, CleanFixtureIsClean would fail on the
-    // stale warning. Flip the drill: removing a justified exempt from
-    // a covered field must warn.
+    // stale warning. Flip the drill: a justified exempt on a covered
+    // field must warn.
     Index index;
     index.addFile(parseFile("w.h", R"(
         class Widget {
             std::uint64_t count_ = 0;
-            // HISS_STATE_EXEMPT(count_, hash): pretends count_ is
-            // not hashed, but it is
+            // HISS_STATE_EXEMPT(count_, restore): pretends count_ is
+            // not restored, but it is
         };
     )"));
     index.addFile(parseFile("w.cc", R"(
         void Widget::snapSave(snap::Writer &out) const { out.u64(count_); }
         void Widget::snapRestore(snap::Reader &in) { count_ = in.u64(); }
-        std::uint64_t Widget::stateHash() const { return count_; }
     )"));
     index.build();
     const std::vector<Finding> findings = index.analyze();
@@ -414,8 +417,8 @@ TEST(Statecheck, ExemptSuppressesAndEarnsItsKeep)
 
 TEST(Statecheck, AccessOverloadsTargetTheSerializedClass)
 {
-    // The snap::Access pattern: static save/restore/hash overloads
-    // whose target is the first non-infrastructure class parameter.
+    // The snap::Access pattern: static save/restore overloads whose
+    // target is the first non-infrastructure class parameter.
     Index index;
     index.addFile(parseFile("rng.h", R"(
         class Rng {
@@ -433,27 +436,25 @@ TEST(Statecheck, AccessOverloadsTargetTheSerializedClass)
             {
                 rng.state_ = in.u64();
             }
-            static void hash(Hash64 &h, const Rng &rng)
-            {
-                h.mix(rng.state_);
-            }
         };
     )"));
     index.build();
     ASSERT_EQ(index.subjects().size(), 1u);
     EXPECT_EQ(index.subjects()[0].name, "Rng");
 
-    // seq_ is touched by nothing: three findings, one per mode.
+    // seq_ is touched by nothing: two findings, one per mode.
     const std::vector<Finding> findings = index.analyze();
     EXPECT_EQ(count(findings, "state-save", "seq_"), 1u)
         << render(findings);
     EXPECT_EQ(count(findings, "state-restore", "seq_"), 1u);
-    EXPECT_EQ(count(findings, "state-hash", "seq_"), 1u);
 }
 
 TEST(Statecheck, GenericNamesRequireSnapshotSignature)
 {
-    // An unrelated save() must not make its class snapshot-capable.
+    // An unrelated save() must not make its class snapshot-capable,
+    // and neither does a hash(Hash64 &) overload: the state hash is
+    // derived from the saved bytes, so hashes are not
+    // implementations.
     Index index;
     index.addFile(parseFile("doc.h", R"(
         class Document {
@@ -462,6 +463,12 @@ TEST(Statecheck, GenericNamesRequireSnapshotSignature)
     )"));
     index.addFile(parseFile("doc.cc", R"(
         void Document::save(std::ostream &out) const { out << text_; }
+        struct Access {
+            static void hash(Hash64 &h, const Document &doc)
+            {
+                h.mixString(doc.text_);
+            }
+        };
     )"));
     index.build();
     EXPECT_TRUE(index.subjects().empty());

@@ -114,7 +114,7 @@ fi
 expect_exit0 "tiny snapshot save" \
     "$sim" --gpu ubench --duration 0.2 \
     --snapshot-save "$snapdir/current.hsnap"
-for old in 1 2; do
+for old in 1 2 3; do
     cp "$snapdir/current.hsnap" "$snapdir/v$old.hsnap"
     printf "\\00$old" | dd of="$snapdir/v$old.hsnap" bs=1 seek=8 count=1 \
         conv=notrunc 2> /dev/null
