@@ -1,6 +1,5 @@
 #include "campaign/campaign.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -195,15 +194,15 @@ CampaignEngine::run(const CampaignOptions &options) const
     report.executed = pending.size();
 
     // Retry waves with exponential backoff between them. Each wave
-    // runs the still-pending cells in chunks of the worker count, so
-    // settled outcomes (success, or failure on the final attempt)
-    // persist as each chunk completes — a SIGKILL mid-wave loses at
-    // most one chunk of in-flight work, never the records already
+    // streams its still-pending cells through one pool, and each
+    // cell settles the moment it finishes: its ledger line is
+    // appended, then its record is stored or the cell is queued for
+    // the next wave. Settled records persist while the rest of the
+    // wave runs, so a SIGKILL mid-wave loses at most the cells in
+    // flight (at most jobs of them), never the records already
     // committed. That incremental durability is what the ci.sh
     // crash drill measures.
     const ExperimentBatch batch(options.jobs);
-    const std::size_t chunk =
-        static_cast<std::size_t>(batch.jobs());
     BackoffPolicy backoff;
     Tick delay = 0;
     for (int attempt = 1;
@@ -214,48 +213,44 @@ CampaignEngine::run(const CampaignOptions &options) const
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(delay));
         }
-        std::vector<PendingCell> next;
-        for (std::size_t at = 0; at < pending.size(); at += chunk) {
-            const std::size_t end =
-                std::min(pending.size(), at + chunk);
-            std::vector<ExperimentCell> wave;
-            wave.reserve(end - at);
-            for (std::size_t j = at; j < end; ++j)
-                wave.push_back(cells[pending[j].index]);
-            const std::vector<CellOutcome> outcomes =
-                batch.runCatching(wave);
-
-            for (std::size_t j = 0; j < outcomes.size(); ++j) {
-                const PendingCell &cell = pending[at + j];
-                const CellOutcome &outcome = outcomes[j];
-                ledger.event("attempt", cell.index, cell.key_hex,
-                             attempt, outcome);
-                const bool over_budget = options.wall_budget_ms > 0.0
-                    && outcome.wall_ms > options.wall_budget_ms;
-                if (outcome.ok) {
-                    // Over-budget successes still cache: the result
-                    // is deterministic and complete, just slow to
-                    // obtain.
-                    cache.store(cell.key_hex, cell.canonical, outcome);
-                    if (over_budget)
-                        ledger.event("wall-budget", cell.index,
-                                     cell.key_hex, attempt, outcome);
-                } else if (over_budget) {
-                    // Too expensive to retry now, and not worth
-                    // pinning as a permanent failure: ledger only,
-                    // so a future resume gets another try.
+        std::vector<ExperimentCell> wave;
+        wave.reserve(pending.size());
+        for (const PendingCell &cell : pending)
+            wave.push_back(cells[cell.index]);
+        std::vector<char> retry(pending.size(), 0);
+        batch.stream(wave, [&](std::size_t j, CellOutcome &outcome) {
+            const PendingCell &cell = pending[j];
+            ledger.event("attempt", cell.index, cell.key_hex, attempt,
+                         outcome);
+            const bool over_budget = options.wall_budget_ms > 0.0
+                && outcome.wall_ms > options.wall_budget_ms;
+            if (outcome.ok) {
+                // Over-budget successes still cache: the result is
+                // deterministic and complete, just slow to obtain.
+                cache.store(cell.key_hex, cell.canonical, outcome);
+                if (over_budget)
                     ledger.event("wall-budget", cell.index,
                                  cell.key_hex, attempt, outcome);
-                    ++report.failures;
-                } else if (attempt == options.max_attempts) {
-                    cache.store(cell.key_hex, cell.canonical,
-                                outcome);
-                    ++report.failures;
-                } else {
-                    next.push_back(cell);
-                }
+            } else if (over_budget) {
+                // Too expensive to retry now, and not worth pinning
+                // as a permanent failure: ledger only, so a future
+                // resume gets another try.
+                ledger.event("wall-budget", cell.index, cell.key_hex,
+                             attempt, outcome);
+                ++report.failures;
+            } else if (attempt == options.max_attempts) {
+                cache.store(cell.key_hex, cell.canonical, outcome);
+                ++report.failures;
+            } else {
+                retry[j] = 1;
             }
-        }
+        });
+        // The next wave keeps index order, whatever order cells
+        // settled in.
+        std::vector<PendingCell> next;
+        for (std::size_t j = 0; j < pending.size(); ++j)
+            if (retry[j])
+                next.push_back(std::move(pending[j]));
         pending = std::move(next);
     }
     return report;

@@ -8,11 +8,18 @@
  *   <dir>/cache/<hex16>.rec     per-cell results (result_cache.h)
  *   <dir>/ledger.shard<k>.jsonl per-shard append-only event log
  *
+ * Cells stream through one worker pool (ExperimentBatch::stream) and
+ * settle one by one: the moment a cell finishes, its ledger line is
+ * appended and its record stored (or the cell is queued for the next
+ * retry wave), while the other workers keep running. No cell waits
+ * for a slower one before its record lands.
+ *
  * The invariant the layout buys: a shard killed at any instant —
  * SIGKILL included — leaves only complete artifacts (manifest and
  * records are write-then-rename; the ledger is append-only and
- * tolerated torn), so a resume simply scans the cache and runs the
- * cells whose records are missing or damaged. Because each cell is
+ * tolerated torn) and loses at most the cells in flight, so a resume
+ * simply scans the cache and runs the cells whose records are missing
+ * or damaged. Because each cell is
  * deterministic, the merged output of "run, crash, resume" is
  * byte-identical to an uninterrupted run.
  *
@@ -42,7 +49,12 @@ namespace campaign {
 /** Run-time knobs for one CampaignEngine::run invocation. */
 struct CampaignOptions
 {
-    /** Worker threads per wave; <= 0 = hardware concurrency. */
+    /**
+     * Worker threads of the pool each retry wave streams its cells
+     * through; at most this many cells are in flight, and each
+     * settles (ledger line, then record) as it finishes. <= 0 =
+     * hardware concurrency.
+     */
     int jobs = 0;
 
     /** This process owns cells with index % shard_count == shard_index. */
@@ -108,8 +120,10 @@ class CampaignEngine
     /**
      * Run (or resume) this shard's share of the grid: scan the cache,
      * re-run missing/corrupt cells in retry waves, and store every
-     * settled outcome. Idempotent — a second call with a warm cache
-     * executes nothing.
+     * settled outcome the moment its cell finishes. Idempotent — a
+     * second call with a warm cache executes nothing. A record-store
+     * or ledger failure on a worker stops the wave and is rethrown
+     * here, on the calling thread.
      */
     CampaignReport run(const CampaignOptions &options) const;
 

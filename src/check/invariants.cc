@@ -156,10 +156,10 @@ InvariantMonitor::onSsrCompleted(const void *source, std::uint64_t id)
         fail("%s request %llu completed but never issued",
              c.label.c_str(), static_cast<unsigned long long>(id));
     if (it->second == Stage::Aborted) {
-        // Zombie retirement: the kworker finished a request the
-        // watchdog already aborted. The driver suppressed the device
-        // callback, so this closes the ledger without counting as a
-        // real completion.
+        // Retirement of an aborted request: the driver cancelled its
+        // queued work item, or the kworker finished it as a zombie
+        // whose device callback the driver suppressed. Either way
+        // this closes the ledger without counting as a completion.
         c.stage.erase(it);
         --c.work_queued;
         ++c.hook_retired;
@@ -187,8 +187,9 @@ InvariantMonitor::onSsrAborted(const void *source, std::uint64_t id)
              "only abort work-queued requests)",
              c.label.c_str(), static_cast<unsigned long long>(id),
              static_cast<int>(it->second));
-    // The zombie work item still occupies the workqueue, so
-    // work_queued stays until the suppressed completion retires it.
+    // The work item still occupies the workqueue, so work_queued
+    // stays until its cancellation or suppressed completion retires
+    // it.
     it->second = Stage::Aborted;
     ++c.hook_aborted;
 }
@@ -388,15 +389,18 @@ InvariantMonitor::checkWorkQueue()
 {
     ++checks_run_;
     WorkQueue &wq = sys_.kernel().workQueue();
-    const std::uint64_t held = wq.pushed() - wq.completed();
+    const std::uint64_t retired = wq.completed() + wq.cancelled();
+    const std::uint64_t held = wq.pushed() - retired;
     const std::uint64_t accounted =
         static_cast<std::uint64_t>(wq.totalDepth()) + wq.inService();
-    if (wq.completed() > wq.pushed()
+    if (retired > wq.pushed()
         || held != accounted)
         fail("workqueue conservation broken: pushed %llu != "
-             "completed %llu + queued %zu + in-service %llu",
+             "completed %llu + cancelled %llu + queued %zu + "
+             "in-service %llu",
              static_cast<unsigned long long>(wq.pushed()),
              static_cast<unsigned long long>(wq.completed()),
+             static_cast<unsigned long long>(wq.cancelled()),
              wq.totalDepth(),
              static_cast<unsigned long long>(wq.inService()));
 }

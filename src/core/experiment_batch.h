@@ -5,8 +5,11 @@
  * Every figure in the paper is a CPU-app x GPU-app x mitigation x
  * seed grid of independent single-threaded simulations — an
  * embarrassingly parallel shape a serial loop over ExperimentRunner
- * leaves on the table. ExperimentBatch runs a vector of experiment
- * cells on a work-stealing thread pool and returns results in
+ * leaves on the table. ExperimentBatch streams a vector of experiment
+ * cells through one work-stealing thread pool: the moment a cell's
+ * last task finishes, its folded outcome is settled (handed to the
+ * caller), while the other workers keep running the rest of the
+ * grid. run() and runCatching() collect the settled cells back into
  * submission order. It is the one place repetitions fan out: a cell
  * with reps = N becomes N independent tasks (seeds seed .. seed+N-1)
  * that fold back through ExperimentRunner::average in seed order.
@@ -24,7 +27,9 @@
 #ifndef HISS_CORE_EXPERIMENT_BATCH_H_
 #define HISS_CORE_EXPERIMENT_BATCH_H_
 
+#include <cstddef>
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,7 +52,7 @@ struct ExperimentCell
     int reps = 1;
 };
 
-/** What became of one cell in ExperimentBatch::runCatching. */
+/** What became of one cell in ExperimentBatch::stream/runCatching. */
 struct CellOutcome
 {
     /** True when the cell completed; result is then valid. */
@@ -87,11 +92,32 @@ class ExperimentBatch
     int jobs() const { return jobs_; }
 
     /**
-     * Run every cell and return results in submission order. Each
-     * (cell, rep) pair is one task; tasks execute on min(jobs, tasks)
-     * workers with work stealing, so stragglers (long CPU apps) do
-     * not serialize the tail. If any cell fails — a rep throws, or
-     * reps <= 0 (FatalError) — the first failure in submission order,
+     * Receives one settled cell: its index in the submitted vector
+     * and its folded outcome, which the callee may move from.
+     */
+    using Settle =
+        std::function<void(std::size_t cell, CellOutcome &outcome)>;
+
+    /**
+     * Run every cell, handing each to @p settle the moment its last
+     * rep finishes. Each (cell, rep) pair is one task; tasks execute
+     * on min(jobs, tasks) workers with work stealing, and no worker
+     * waits for another cell to finish before taking the next task.
+     * Each cell is settled exactly once, in completion order (a cell
+     * with reps <= 0 fails with a FatalError reason and is settled
+     * before any task runs). Settle calls are serialized, so the
+     * callback needs no locking of its own, but they run on worker
+     * threads. If @p settle throws, no further task starts and no
+     * further cell is settled, and the first such exception is
+     * rethrown on the caller once every worker has stopped.
+     */
+    void stream(const std::vector<ExperimentCell> &cells,
+                const Settle &settle) const;
+
+    /**
+     * Run every cell and return results in submission order. If any
+     * cell fails — a rep throws, or reps <= 0 (FatalError) — the
+     * original exception of the first failure in submission order,
      * and within a cell in seed order, is rethrown after all workers
      * finish.
      */
@@ -108,16 +134,15 @@ class ExperimentBatch
     runCatching(const std::vector<ExperimentCell> &cells) const;
 
   private:
-    /**
-     * The shared engine: run every (cell, rep) task, then fold each
-     * cell's reps into @p results, its first failure into @p errors
-     * and its summed host wall-clock duration (ms) into @p wall_ms,
-     * all at the cell's index.
-     */
+    /** What the engine settles: the outcome plus, on failure, the
+     *  live exception run() rethrows. */
+    using SettleError = std::function<void(
+        std::size_t cell, CellOutcome &outcome,
+        const std::exception_ptr &error)>;
+
+    /** The one streaming engine behind stream, run and runCatching. */
     void execute(const std::vector<ExperimentCell> &cells,
-                 std::vector<RunResult> &results,
-                 std::vector<std::exception_ptr> &errors,
-                 std::vector<double> &wall_ms) const;
+                 const SettleError &settle) const;
 
     int jobs_;
 };

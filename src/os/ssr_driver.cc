@@ -82,11 +82,21 @@ SsrDriver::fire(const snap::Tag &tag)
     ++requests_aborted_;
     trace("request %llu aborted by watchdog",
           static_cast<unsigned long long>(id));
-    if (CheckHooks *checks = checkHooks())
+    CheckHooks *checks = checkHooks();
+    if (checks != nullptr)
         checks->onSsrAborted(&source_, id);
     // The device abort handler may re-enter the driver (e.g. the GPU
     // retries into a fresh request); don't touch map iterators after.
     auto on_abort = std::move(it->second.on_abort);
+    // An item no kworker has taken yet is cancelled off the queue, as
+    // Linux's cancel_work does, so a stalled kworker's backlog holds
+    // no dead work. One already in service runs to a suppressed
+    // zombie completion (completeRequest).
+    if (work_queue_.cancel(snap_index_, id)) {
+        tracked_.erase(it);
+        if (checks != nullptr)
+            checks->onSsrCompleted(&source_, id);
+    }
     if (on_abort)
         on_abort();
 }

@@ -111,8 +111,9 @@ class SsrDriver : public SimObject
     {
         return completions_suppressed_;
     }
-    /** Aborted requests still tracked: their zombie completion has not
-     *  arrived yet, and each one ends as a suppressed completion. */
+    /** Aborted requests still tracked: a kworker had already taken
+     *  their item when the watchdog fired (queued items are cancelled
+     *  instead), and each one ends as a suppressed completion. */
     std::uint64_t abortedInFlight() const;
 
     void fire(const snap::Tag &tag) override;
@@ -155,9 +156,10 @@ class SsrDriver : public SimObject
     /**
      * Recovery state for one drained request (created only when a
      * fault injector with a request_timeout is armed). The watchdog
-     * aborts requests stuck past the bottom half; the completion
-     * wrapper suppresses the device callback of aborted (zombie)
-     * requests and retires their tracking entry.
+     * aborts requests stuck past the bottom half and cancels their
+     * work item if it is still queued; otherwise the completion
+     * wrapper suppresses the device callback of the aborted (zombie)
+     * request and retires its tracking entry.
      */
     struct Tracked
     {

@@ -113,6 +113,23 @@ WorkQueue::pop(int core)
     return item;
 }
 
+bool
+WorkQueue::cancel(std::uint64_t driver_index, std::uint64_t id)
+{
+    for (auto &queue : queues_) {
+        for (auto it = queue.begin(); it != queue.end(); ++it) {
+            if (it->snap.driver_wrapped
+                && it->snap.driver_index == driver_index
+                && it->snap.id == id) {
+                queue.erase(it);
+                ++cancelled_;
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
 void
 WorkQueue::snapSave(snap::Writer &w) const
 {
@@ -124,6 +141,7 @@ WorkQueue::snapSave(snap::Writer &w) const
     }
     w.u64(pushed_);
     w.u64(completed_);
+    w.u64(cancelled_);
     w.u64(in_service_);
 }
 
@@ -140,6 +158,7 @@ WorkQueue::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
     }
     pushed_ = r.u64();
     completed_ = r.u64();
+    cancelled_ = r.u64();
     in_service_ = r.u64();
 }
 

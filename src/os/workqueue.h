@@ -143,14 +143,23 @@ class WorkQueue : public SimObject
     /** Pop the oldest item on @p core's sub-queue; panics if empty. */
     WorkItem pop(int core);
 
+    /**
+     * Remove the still-queued item of request @p id that driver
+     * @p driver_index queued, as Linux's cancel_work does: the item
+     * never runs and never completes. @returns false when no such
+     * item is queued (a kworker already took it, or it never was).
+     */
+    bool cancel(std::uint64_t driver_index, std::uint64_t id);
+
     std::uint64_t pushed() const { return pushed_; }
     std::uint64_t completed() const { return completed_; }
+    std::uint64_t cancelled() const { return cancelled_; }
 
     /**
      * Items popped by a kworker but not yet completed. Together with
-     * pushed/completed/totalDepth this closes the conservation
-     * identity pushed == completed + queued + in-service that the
-     * invariant layer checks at every sweep.
+     * pushed/completed/cancelled/totalDepth this closes the
+     * conservation identity pushed == completed + cancelled + queued
+     * + in-service that the invariant layer checks at every sweep.
      */
     std::uint64_t inService() const { return in_service_; }
 
@@ -184,6 +193,7 @@ class WorkQueue : public SimObject
     std::vector<Thread *> workers_;
     std::uint64_t pushed_ = 0;
     std::uint64_t completed_ = 0;
+    std::uint64_t cancelled_ = 0;
     std::uint64_t in_service_ = 0;
     Distribution &latency_;
 };

@@ -56,8 +56,9 @@ class CheckHooks
 
     /**
      * The driver watchdog aborted the request (graceful degradation
-     * under fault injection). The request stays accounted until its
-     * zombie work item retires through onSsrCompleted.
+     * under fault injection). The request stays accounted until it
+     * retires through onSsrCompleted: when the driver cancels its
+     * still-queued work item, or when its zombie work item completes.
      */
     virtual void onSsrAborted(const void *source, std::uint64_t id) = 0;
 

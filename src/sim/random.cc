@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sim/logging.h"
+#include "snap/snap.h"
 
 namespace hiss {
 namespace {
@@ -21,12 +22,9 @@ splitmix64(std::uint64_t &state)
 std::uint64_t
 hashName(const std::string &name)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : name) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    snap::Hash64 h;
+    h.mixBytes(name);
+    return h.value();
 }
 
 } // namespace

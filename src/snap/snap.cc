@@ -163,12 +163,9 @@ Reader::section(const char *name)
 std::uint64_t
 checksum(const std::string &payload)
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : payload) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
+    Hash64 h;
+    h.mixBytes(payload);
+    return h.value();
 }
 
 std::string

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,8 +49,9 @@ class SnapshotError : public std::runtime_error
 /** Snapshot format version; bump on any layout change (v2: the IOMMU
  *  section carries the IOTLB FIFO ring only, not its probe table;
  *  v3: each pending event names its target; v4: the IOMMU section
- *  carries no translate-batch ledger). */
-inline constexpr std::uint32_t kFormatVersion = 4;
+ *  carries no translate-batch ledger; v5: the work queue carries its
+ *  cancelled-item count). */
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /** File magic ("HISSNAP" + format epoch). */
 inline constexpr char kMagic[8] = {'H', 'I', 'S', 'S', 'N', 'A', 'P', '1'};
@@ -102,28 +104,38 @@ struct Tag
 const char *internKind(const std::string &kind);
 
 /** FNV-1a 64-bit running hash: HeteroSystem::stateHash (over the
- *  saved payload), the snapshot config fingerprint and cell keys. */
+ *  saved payload), the snapshot config fingerprint, cell keys, frame
+ *  checksums (snap::checksum) and Rng stream names. */
 struct Hash64
 {
     std::uint64_t h = 14695981039346656037ULL;
 
+    /** The FNV-1a step over every byte of @p bytes, in order. */
     void
-    mix(std::uint64_t v)
+    mixBytes(std::string_view bytes)
     {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xffU;
+        for (const char c : bytes) {
+            h ^= static_cast<unsigned char>(c);
             h *= 1099511628211ULL;
         }
     }
 
+    /** The eight bytes of @p v, least significant first. */
+    void
+    mix(std::uint64_t v)
+    {
+        char bytes[8];
+        for (int i = 0; i < 8; ++i)
+            bytes[i] = static_cast<char>((v >> (i * 8)) & 0xffU);
+        mixBytes(std::string_view(bytes, sizeof bytes));
+    }
+
+    /** @p s with its length in front, so concatenations differ. */
     void
     mixString(const std::string &s)
     {
         mix(s.size());
-        for (const char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ULL;
-        }
+        mixBytes(s);
     }
 
     std::uint64_t value() const { return h; }

@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -391,6 +393,107 @@ TEST(CampaignTest, MergeRefusesIncompleteCampaigns)
     shard0.shard_count = 2;
     engine.run(shard0);
     EXPECT_THROW(engine.merge(dir + "/merged.csv"), FatalError);
+}
+
+/** fastGrid over four seeds: eight cells, two per worker at jobs 4. */
+GridSpec
+eightCellGrid()
+{
+    GridSpec spec = fastGrid();
+    spec.seeds = {81, 82, 83, 84};
+    return spec;
+}
+
+/**
+ * Settles append ledger lines from worker threads: a jobs-4 run must
+ * still write one whole "attempt" line per executed cell, and merge
+ * to the same bytes as a jobs-1 run of the grid.
+ */
+TEST(CampaignTest, StreamedSettlesLedgerWholeLinesAndMergeMatchesSerial)
+{
+    std::string csv[2];
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        const std::string dir =
+            freshDir("campaign_stream_j" + std::to_string(jobs));
+        const std::string ledger_path = dir + "/ledger.shard0.jsonl";
+        std::remove(ledger_path.c_str());
+        const CampaignEngine engine(dir);
+        engine.build(eightCellGrid());
+        CampaignOptions options;
+        options.jobs = jobs;
+        const CampaignReport report = engine.run(options);
+        ASSERT_EQ(report.executed, 8u);
+        EXPECT_EQ(report.failures, 0u);
+
+        std::istringstream ledger(readAll(ledger_path));
+        std::string line;
+        std::vector<int> attempts(8, 0);
+        std::size_t lines = 0;
+        while (std::getline(ledger, line)) {
+            ++lines;
+            ASSERT_GE(line.size(), 2u);
+            EXPECT_EQ(line.front(), '{') << line;
+            EXPECT_EQ(line.back(), '}') << line;
+            EXPECT_EQ(line.find('{', 1), std::string::npos) << line;
+            EXPECT_EQ(line.find("\"type\":\"attempt\""), 1u) << line;
+            const std::size_t at = line.find("\"index\":");
+            ASSERT_NE(at, std::string::npos) << line;
+            const std::size_t index = std::stoul(line.substr(at + 8));
+            ASSERT_LT(index, attempts.size());
+            ++attempts[index];
+            EXPECT_NE(line.find("\"wall_ms\":"), std::string::npos);
+        }
+        EXPECT_EQ(lines, 8u);
+        for (std::size_t i = 0; i < attempts.size(); ++i)
+            EXPECT_EQ(attempts[i], 1) << "cell " << i;
+
+        const std::string csv_path = dir + "/merged.csv";
+        ASSERT_EQ(engine.merge(csv_path), 8u);
+        csv[jobs == 1 ? 0 : 1] = readAll(csv_path);
+    }
+    EXPECT_EQ(csv[1], csv[0]);
+}
+
+/**
+ * A record store that fails surfaces from run() on the calling
+ * thread, also when the store runs in a settle on a worker.
+ */
+TEST(CampaignTest, RecordStoreFailuresSurfaceFromRun)
+{
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        CampaignOptions options;
+        options.jobs = jobs;
+
+        // The cache directory is a regular file.
+        {
+            const std::string dir = ::testing::TempDir()
+                + "/campaign_cache_file_j" + std::to_string(jobs);
+            std::filesystem::remove_all(dir);
+            const CampaignEngine engine(dir);
+            engine.build(eightCellGrid());
+            std::filesystem::remove_all(engine.cacheDir());
+            std::ofstream(engine.cacheDir()) << "not a directory\n";
+            EXPECT_THROW(engine.run(options), FatalError);
+        }
+
+        // One cell's record path is a directory, so storing that
+        // record fails in the middle of the wave.
+        {
+            const std::string dir = ::testing::TempDir()
+                + "/campaign_record_dir_j" + std::to_string(jobs);
+            std::filesystem::remove_all(dir);
+            const CampaignEngine engine(dir);
+            engine.build(eightCellGrid());
+            const Manifest manifest = campaign::readManifest(dir);
+            const ResultCache cache(engine.cacheDir());
+            std::filesystem::create_directories(
+                cache.recordPath(manifest.cells[5].key_hex));
+            EXPECT_THROW(engine.run(options), snap::SnapshotError);
+            std::filesystem::remove_all(dir);
+        }
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,17 +135,26 @@ TEST(ExperimentBatch, MixedRepsGridMatchesSerialAverage)
     }
 }
 
-TEST(ExperimentBatch, FailingRepReportsItsErrorAndCellRepro)
+/**
+ * A 3-rep ubench cell whose second rep (seed 86) runs out of
+ * simulated DRAM: of ubench's 2 ms windows at seeds 85, 86 and 87,
+ * only seed 86 faults in more pages than @p small holds.
+ */
+ExperimentCell
+secondRepFailingCell(SystemConfig &small)
 {
-    // Simulated DRAM sized so that, of ubench's 2 ms windows at seeds
-    // 85, 86 and 87, only seed 86 faults in more pages than fit.
-    SystemConfig small;
     small.kernel.dram_frames = 780;
     ExperimentConfig config = fastConfig(85);
     config.rate_window = msToTicks(2);
     config.base_system = &small;
-    const ExperimentCell failing{"", "ubench", config,
-                                 MeasureMode::GpuOnly, 3};
+    return {"", "ubench", config, MeasureMode::GpuOnly, 3};
+}
+
+TEST(ExperimentBatch, FailingRepReportsItsErrorAndCellRepro)
+{
+    SystemConfig small;
+    const ExperimentCell failing = secondRepFailingCell(small);
+    const ExperimentConfig &config = failing.config;
 
     std::string rep1_error;
     for (int r = 0; r < 3; ++r) {
@@ -287,6 +297,86 @@ TEST(ExperimentBatch, CancelHeavyQosGridIsBitIdenticalAcrossJobs)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         expectIdentical(one[i], four[i]);
         expectIdentical(one[i], sixteen[i]);
+    }
+}
+
+/**
+ * The streaming engine settles every cell exactly once, serialized,
+ * with the outcome runCatching collects (every field but the host
+ * wall time), whatever the job count: mixed reps, a failing rep and
+ * non-positive reps.
+ */
+TEST(ExperimentBatch, StreamSettlesEachCellOnceWithRunCatchingsOutcome)
+{
+    SystemConfig small;
+    std::vector<ExperimentCell> cells = {
+        {"", "spmv", fastConfig(81), MeasureMode::GpuOnly, 3},
+        secondRepFailingCell(small),
+        {"swaptions", "ubench", fastConfig(81), MeasureMode::CpuPrimary,
+         1},
+        {"", "ubench", fastConfig(83), MeasureMode::GpuOnly, 0},
+        {"", "spmv", fastConfig(84), MeasureMode::GpuOnly, 2},
+    };
+    const std::vector<CellOutcome> reference =
+        ExperimentBatch(1).runCatching(cells);
+    ASSERT_EQ(reference.size(), cells.size());
+    EXPECT_TRUE(reference[0].ok);
+    EXPECT_FALSE(reference[1].ok);
+    EXPECT_FALSE(reference[3].ok);
+    expectIdentical(reference[0].result, serialReference(cells[0]));
+    expectIdentical(reference[4].result, serialReference(cells[4]));
+
+    for (const int jobs : {1, 2, 4}) {
+        SCOPED_TRACE(jobs);
+        std::vector<int> settles(cells.size(), 0);
+        std::vector<CellOutcome> streamed(cells.size());
+        int inside = 0; // Unguarded on purpose: settles are serialized.
+        ExperimentBatch(jobs).stream(
+            cells, [&](std::size_t i, CellOutcome &outcome) {
+                EXPECT_EQ(inside++, 0);
+                ASSERT_LT(i, cells.size());
+                ++settles[i];
+                streamed[i] = std::move(outcome);
+                --inside;
+            });
+        const std::vector<CellOutcome> collected =
+            ExperimentBatch(jobs).runCatching(cells);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(settles[i], 1);
+            const CellOutcome *both[] = {&streamed[i], &collected[i]};
+            for (const CellOutcome *o : both) {
+                EXPECT_EQ(o->ok, reference[i].ok);
+                EXPECT_EQ(o->error, reference[i].error);
+                EXPECT_EQ(o->repro, reference[i].repro);
+                expectIdentical(o->result, reference[i].result);
+                // A cell that ran took host time; one that never ran
+                // took none.
+                EXPECT_EQ(o->wall_ms > 0.0, cells[i].reps > 0);
+            }
+        }
+    }
+}
+
+/** A throwing settle callback reaches the caller, not std::terminate. */
+TEST(ExperimentBatch, ThrowingSettleIsRethrownOnTheCaller)
+{
+    std::vector<ExperimentCell> cells;
+    for (const std::uint64_t seed : {81u, 82u, 83u, 84u, 85u, 86u})
+        cells.push_back({"", "ubench", fastConfig(seed),
+                         MeasureMode::GpuOnly, 1});
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        int settles = 0;
+        EXPECT_THROW(ExperimentBatch(jobs).stream(
+                         cells,
+                         [&](std::size_t, CellOutcome &) {
+                             ++settles;
+                             throw std::runtime_error("settle failed");
+                         }),
+                     std::runtime_error);
+        // No cell settles after the first settle threw.
+        EXPECT_EQ(settles, 1);
     }
 }
 

@@ -158,18 +158,26 @@ TEST(FaultInjector, StalledKworkersLoseRacesWithTheRequestWatchdog)
 
     ASSERT_NE(sys.faultInjector(), nullptr);
     EXPECT_GT(sys.faultInjector()->kworkerStalls(), 0u);
-    // The watchdog aborted some work-queued requests, every abort
-    // reached the device, and each zombie completion that arrived was
-    // suppressed rather than double-counted; the rest are still
-    // tracked, in flight behind a stalled kworker.
+    // The watchdog aborted work-queued requests and every abort
+    // reached the device. An aborted request whose item was still
+    // queued was cancelled off the work queue, as Linux's cancel_work
+    // does; only the few a kworker had already taken ran on, as
+    // suppressed zombie completions. So nothing aborted is left
+    // queued behind a stalled kworker, and newer requests get served.
     const SsrDriver &driver = sys.ssrDriver();
-    EXPECT_GT(driver.requestsAborted(), 0u);
+    const WorkQueue &wq = sys.kernel().workQueue();
     EXPECT_EQ(sys.iommu().faultsAborted(), driver.requestsAborted());
-    EXPECT_GT(driver.completionsSuppressed(), 0u);
-    EXPECT_EQ(driver.completionsSuppressed() + driver.abortedInFlight(),
+    EXPECT_EQ(driver.requestsAborted(), 627u);
+    EXPECT_EQ(wq.cancelled(), 624u);
+    EXPECT_EQ(driver.completionsSuppressed(), 3u);
+    EXPECT_EQ(driver.abortedInFlight(), 0u);
+    EXPECT_EQ(wq.cancelled() + driver.completionsSuppressed()
+                  + driver.abortedInFlight(),
               driver.requestsAborted());
     // An aborted wavefront drops its assignment and fetches the next,
     // so the device keeps faulting, and faults keep resolving.
+    EXPECT_EQ(gpu.faultsIssued(), 690u);
+    EXPECT_EQ(gpu.faultsResolved(), 47u);
     EXPECT_GT(gpu.faultsIssued(), issued_at_cut + wavefronts);
     EXPECT_GT(gpu.faultsResolved(), resolved_at_cut);
 }

@@ -12,6 +12,7 @@
 
 #include "sim/logging.h"
 #include "sim/random.h"
+#include "snap/snap.h"
 
 namespace hiss {
 namespace {
@@ -43,6 +44,40 @@ TEST(Rng, NamedStreamsAreIndependent)
     EXPECT_NE(a.next(), b.next());
     Rng a3(42, "core0.workload");
     EXPECT_EQ(a2.next(), a3.next());
+}
+
+/**
+ * One FNV-1a loop serves stream names, frame checksums and
+ * snap::Hash64: the standard 64-bit test vectors pin all three.
+ */
+TEST(Rng, StreamNamesHashWithStandardFnv1a)
+{
+    const std::pair<const char *, std::uint64_t> vectors[] = {
+        {"", 0xcbf29ce484222325ULL},
+        {"a", 0xaf63dc4c8601ec8cULL},
+        {"foobar", 0x85944171f73967e8ULL},
+    };
+    for (const auto &[text, fnv] : vectors) {
+        SCOPED_TRACE(text);
+        snap::Hash64 h;
+        h.mixBytes(text);
+        EXPECT_EQ(h.value(), fnv);
+        EXPECT_EQ(snap::checksum(text), fnv);
+    }
+
+    // A named stream seeds from experiment_seed ^ FNV-1a(name).
+    Rng named(0, "foobar");
+    Rng direct(0x85944171f73967e8ULL);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(named.next(), direct.next());
+
+    // mixString is the same loop behind an 8-byte length prefix.
+    snap::Hash64 prefixed;
+    prefixed.mixString("foobar");
+    snap::Hash64 by_hand;
+    by_hand.mix(6);
+    by_hand.mixBytes("foobar");
+    EXPECT_EQ(prefixed.value(), by_hand.value());
 }
 
 TEST(Rng, UniformIntRespectsBounds)

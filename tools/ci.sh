@@ -53,13 +53,14 @@
 #                                      not part of the preset sweep)
 #        tools/ci.sh campaign [preset...]
 #                                     (crash-drill leg, default presets
-#                                      default check asan: shard a grid
-#                                      across two hiss_campaign
+#                                      default check asan tsan: shard a
+#                                      grid across two hiss_campaign
 #                                      processes, SIGKILL one mid-
 #                                      flight, resume it, and require
 #                                      the merged CSV byte-identical
 #                                      to an uninterrupted reference
-#                                      run)
+#                                      run whose ledger lines are each
+#                                      one complete JSON object)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -376,7 +377,11 @@ fi
 # contract — write-then-rename records, content-addressed keys,
 # resume-by-cache-scan — makes the merged CSV byte-identical to an
 # uninterrupted reference run; tools/trace_diff reports the first
-# divergence if it is not.
+# divergence if it is not. Cells settle on worker threads, each
+# appending its ledger line as it finishes, so the reference run's
+# ledger must hold one complete JSON object per line and one
+# "attempt" line per cell; the tsan preset runs the same drill under
+# ThreadSanitizer.
 run_campaign() {
     local preset="${1:-default}"
     cmake --preset "$preset"
@@ -395,6 +400,30 @@ run_campaign() {
     $camp build --dir "$tmpdir/ref" $grid
     $camp run --dir "$tmpdir/ref" --jobs 2
     $camp merge --dir "$tmpdir/ref" --out "$tmpdir/ref.csv"
+    local cells
+    cells=$(find "$tmpdir/ref/cache" -name '*.rec' | wc -l)
+    python3 - "$tmpdir/ref/ledger.shard0.jsonl" "$cells" <<'PY' || {
+import json
+import sys
+
+attempts = 0
+with open(sys.argv[1]) as ledger:
+    for number, line in enumerate(ledger, 1):
+        try:
+            event = json.loads(line)
+        except ValueError as e:
+            sys.exit(f"ledger line {number} is not one JSON object: {e}")
+        if not isinstance(event, dict) or not line.endswith("\n"):
+            sys.exit(f"ledger line {number} is not a whole object line")
+        attempts += event.get("type") == "attempt"
+if attempts != int(sys.argv[2]):
+    sys.exit(f"ledger holds {attempts} attempts for {sys.argv[2]} cells")
+PY
+        echo "ci: campaign leg FAILED: reference ledger is not one" \
+             "whole JSON object per line"
+        rm -rf "$tmpdir"
+        exit 1
+    }
 
     # Crash drill: SIGKILL shard 0 once its first record is on disk.
     # shellcheck disable=SC2086
@@ -442,7 +471,7 @@ if [ "${1-}" = "campaign" ]; then
     shift
     legs=("$@")
     if [ "${#legs[@]}" -eq 0 ]; then
-        legs=(default check asan)
+        legs=(default check asan tsan)
     fi
     for p in "${legs[@]}"; do
         run_campaign "$p"
@@ -474,7 +503,7 @@ for p in "${presets[@]}"; do
     fi
     # The crash-resume drill rides the presets it is specified for.
     case "$p" in
-      default|check|asan) run_campaign "$p" ;;
+      default|check|asan|tsan) run_campaign "$p" ;;
     esac
 done
 
